@@ -11,22 +11,20 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _as_fraction_rows(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _gauss_jordan(m: list[list[Fraction]], n_pivot_cols: int) -> list[int]:
+    """Reduce m in place to reduced row echelon form on its first n_pivot_cols.
 
-
-def exact_rank(rows: Sequence[Sequence]) -> int:
-    """Rank of a matrix with rational entries."""
-    m = _as_fraction_rows(rows)
-    if not m:
-        return 0
-    n_cols = len(m[0])
-    rank = 0
-    col = 0
-    while rank < len(m) and col < n_cols:
+    Columns past n_pivot_cols (an augmented right-hand side) are carried
+    along but never pivoted on.  Returns the pivot columns; their count
+    is the rank, and row i holds the pivot of column pivots[i].
+    """
+    pivots: list[int] = []
+    for col in range(n_pivot_cols):
+        rank = len(pivots)
+        if rank == len(m):
+            break
         pivot = next((r for r in range(rank, len(m)) if m[r][col] != 0), None)
         if pivot is None:
-            col += 1
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
         inv = 1 / m[rank][col]
@@ -35,9 +33,16 @@ def exact_rank(rows: Sequence[Sequence]) -> int:
             if r != rank and m[r][col] != 0:
                 factor = m[r][col]
                 m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        col += 1
-    return rank
+        pivots.append(col)
+    return pivots
+
+
+def exact_rank(rows: Sequence[Sequence]) -> int:
+    """Rank of a matrix with rational entries."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    if not m:
+        return 0
+    return len(_gauss_jordan(m, len(m[0])))
 
 
 def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -46,34 +51,15 @@ def solve_unique(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | No
     A may have more rows than columns.  Returns None when the system is
     singular (no unique solution) or inconsistent.
     """
-    a = _as_fraction_rows(rows)
-    b = [Fraction(x) for x in rhs]
-    if not a:
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(rows, rhs, strict=True)
+    ]
+    if not aug:
         return None
-    n_rows, n_cols = len(a), len(a[0])
-    aug = [a[i] + [b[i]] for i in range(n_rows)]
-    rank = 0
-    pivot_cols = []
-    for col in range(n_cols):
-        pivot = next((r for r in range(rank, n_rows) if aug[r][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        inv = 1 / aug[rank][col]
-        aug[rank] = [x * inv for x in aug[rank]]
-        for r in range(n_rows):
-            if r != rank and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [u - factor * v for u, v in zip(aug[r], aug[rank])]
-        pivot_cols.append(col)
-        rank += 1
-    if rank < n_cols:
+    n_cols = len(aug[0]) - 1
+    if len(_gauss_jordan(aug, n_cols)) < n_cols:
         return None
     # inconsistent rows: 0 = nonzero
-    for r in range(rank, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    x = [Fraction(0)] * n_cols
-    for i, col in enumerate(pivot_cols):
-        x[col] = aug[i][n_cols]
-    return x
+    if any(row[n_cols] != 0 for row in aug[n_cols:]):
+        return None
+    return [aug[i][n_cols] for i in range(n_cols)]

@@ -62,16 +62,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_lambdas(text: str) -> SpectraPoint:
-    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+def _point_from_tokens(tokens: list[str]) -> SpectraPoint:
+    """Exact coordinates if every token is an integer or p/q, else floats."""
     if not tokens:
         raise ValidationError("empty lambda list")
     try:
         if all(_EXACT_TOKEN.match(tok) for tok in tokens):
             return SpectraPoint.exact(tokens)
-        return SpectraPoint(tuple(float(Fraction(tok)) for tok in tokens))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad lambda list {text!r}: {exc}") from exc
+        # float() parses decimal tokens directly: Fraction("1e999999999")
+        # would first build a billion-digit integer
+        return SpectraPoint(
+            tuple(float(Fraction(tok) if _EXACT_TOKEN.match(tok) else tok) for tok in tokens)
+        )
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"bad lambda list {tokens}: {exc}") from exc
+
+
+def _parse_lambdas(text: str) -> SpectraPoint:
+    return _point_from_tokens([tok.strip() for tok in text.split(",") if tok.strip()])
 
 
 def _read_state(path: str) -> PureState:
@@ -88,7 +96,7 @@ def _stdin_document() -> dict:
         raise ValidationError("no input: pass --lambda, --state, or pipe a JSON document")
     try:
         doc = json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"stdin is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("stdin JSON must be an object")
@@ -116,7 +124,8 @@ def _resolve_point(args) -> SpectraPoint:
         lams = doc["lambdas"]
         if not isinstance(lams, list) or not lams:
             raise ValidationError('"lambdas" must be a non-empty array')
-        return SpectraPoint(tuple(float(x) for x in lams))
+        # JSON numbers and strings follow the --lambda token rule
+        return _point_from_tokens([str(x).strip() for x in lams])
     if "amplitudes" in doc:
         return psi_map(state_from_document(doc))
     if isinstance(doc.get("state"), dict) and "amplitudes" in doc["state"]:
@@ -325,7 +334,6 @@ def cmd_oracle_dim(args):
         point,
         n_samples=args.samples,
         seeds=[args.seed + i for i in range(args.samples)],
-        max_workers=args.workers,
         **kw,
     )
     return estimate.document(), 0 if estimate.status == "ok" else 2
@@ -570,7 +578,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="base seed; sample i uses seed+i")
     p.add_argument("--tol", type=float, help="residual tolerance")
     p.add_argument("--rank-tol", type=float, help="relative singular-value threshold")
-    p.add_argument("--workers", type=int, help="sample in this many threads")
     _add_common_flags(p)
     p.set_defaults(handler=cmd_oracle_dim)
 

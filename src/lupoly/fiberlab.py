@@ -16,7 +16,6 @@ two can be compared honestly:
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -24,8 +23,15 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .polytope import StratumClass, classify, membership
-from .qstate import PureState, SpectraPoint, apply_slot_operator, haar_state, psi_map
-from .stability import RANK_TOL, orbit_dimensions
+from .qstate import (
+    PureState,
+    SpectraPoint,
+    apply_slot_operator,
+    haar_state,
+    one_qubit_marginal,
+    psi_map,
+)
+from .stability import PAULIS, RANK_TOL, _rank_and_svals, orbit_dimensions
 from .wall import wall_state
 
 FIBER_TOL = 1e-10
@@ -36,18 +42,6 @@ MAX_RESTARTS = 5
 _ARMIJO = 1e-4
 _STEP_MIN = 1e-12
 _STEP_MAX = 1e3
-
-_PAULIS = (
-    np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128),
-    np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128),
-    np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128),
-)
-
-
-def _marginal(amps: np.ndarray, L: int, l: int) -> np.ndarray:
-    t = amps.reshape((2,) * L)
-    axes = tuple(i for i in range(L) if i != l - 1)
-    return np.tensordot(t, t.conj(), axes=(axes, axes))
 
 
 def _objective_and_grad(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray):
@@ -60,7 +54,7 @@ def _objective_and_grad(amps: np.ndarray, L: int, target: np.ndarray, zero_mask:
     f = 0.0
     grad = np.zeros_like(amps)
     for l in range(1, L + 1):
-        rho = _marginal(amps, L, l)
+        rho = one_qubit_marginal(amps, L, l)
         a = (rho[0, 0].real - rho[1, 1].real) / 2.0
         b = rho[0, 1]
         lam = math.hypot(a, abs(b))
@@ -83,29 +77,23 @@ def _objective_and_grad(amps: np.ndarray, L: int, target: np.ndarray, zero_mask:
 
 
 def _spectra_residual(state: PureState, target: np.ndarray) -> float:
-    lams = np.array(
-        [
-            math.hypot(
-                (r[0, 0].real - r[1, 1].real) / 2.0, abs(r[0, 1])
-            )
-            for r in (
-                _marginal(state.amplitudes, state.num_qubits, l)
-                for l in range(1, state.num_qubits + 1)
-            )
-        ]
-    )
-    return float(np.linalg.norm(lams - target))
+    return float(np.linalg.norm(psi_map(state).as_array() - target))
 
 
 def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray,
              tol: float, max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Projected gradient descent with BB steps and Armijo backtracking."""
+    """Projected gradient descent with BB steps and Armijo backtracking.
+
+    Returns the final amplitudes, their objective, and the number of
+    steps taken, which is below max_iters when the descent converged or
+    stopped early.
+    """
     f, grad = _objective_and_grad(amps, L, target, zero_mask)
     step = 1.0
     prev_amps = prev_grad = None
     for it in range(max_iters):
         if f <= tol * tol:
-            return amps, f, it
+            break
         if prev_amps is not None:
             s = amps - prev_amps
             y = grad - prev_grad
@@ -130,7 +118,9 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray
             break  # line search exhausted
         prev_amps, prev_grad = amps, grad
         amps, f, grad = cand, f_cand, g_cand
-    return amps, f, max_iters
+    else:
+        it = max_iters
+    return amps, f, it
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,18 +222,20 @@ def sample_fiber(
         zero_mask[l - 1] = True
 
     total_iters = 0
+    best = math.inf
     for attempt in range(max_restarts + 1):
         if attempt > 0:
             amps = haar_state(L, rng).amplitudes
-        amps, f, iters = _descend(np.array(amps), L, t_arr, zero_mask, tol, max_iters)
+        amps, _, iters = _descend(np.array(amps), L, t_arr, zero_mask, tol, max_iters)
         total_iters += iters
         state = PureState(L, amps)
         residual = _spectra_residual(state, t_arr)
         if residual <= tol:
             return FiberSample(state, target, residual, total_iters, attempt, seed, "descent")
+        best = min(best, residual)
     raise ConvergenceError(
         f"fiber sampling did not reach residual {tol:g} after {max_restarts} restarts "
-        f"(best objective {f:.3e})"
+        f"(best residual {best:.3e})"
     )
 
 
@@ -282,7 +274,7 @@ def momentum_differential_matrix(state: PureState, slots: Sequence[int] | None =
                 axes = tuple(i for i in range(L) if i != l - 1)
                 m = np.tensordot(v_t, phi_t.conj(), axes=(axes, axes))
                 block = m + m.conj().T
-                for sigma in _PAULIS:
+                for sigma in PAULIS:
                     row.append(float(np.trace(sigma @ block).real))
             rows.append(row)
     return np.array(rows)
@@ -300,16 +292,10 @@ def momentum_rank_report(
     state: PureState, rank_tol: float = RANK_TOL, slots: Sequence[int] | None = None
 ) -> DmuReport:
     matrix = momentum_differential_matrix(state, slots=slots)
-    svals = np.linalg.svd(matrix, compute_uv=False)
-    top = svals[0] if svals.size else 0.0
-    if top == 0.0:
-        return DmuReport(0, tuple(svals), math.inf, False)
-    cut = rank_tol * top
-    rank = int((svals > cut).sum())
+    rank, svals, shaky = _rank_and_svals(matrix, rank_tol)
     kept = svals[rank - 1] if rank > 0 else math.inf
     dropped = svals[rank] if rank < svals.size else 0.0
     gap = math.inf if dropped == 0.0 else float(kept / dropped)
-    shaky = bool(np.any((svals > cut / 10.0) & (svals < cut * 10.0)))
     return DmuReport(rank, tuple(float(s) for s in svals), gap, shaky)
 
 
@@ -397,7 +383,6 @@ def numeric_dim(
     seeds: Sequence[int] | None = None,
     tol: float = FIBER_TOL,
     rank_tol: float = RANK_TOL,
-    max_workers: int | None = None,
 ) -> NumericDimEstimate:
     """Independent dimension estimate from fiber samples.
 
@@ -411,9 +396,6 @@ def numeric_dim(
     n_samples, seeds:
         Number of independent fiber samples; seeds default to
         0..n_samples-1 and determine the samples completely.
-    max_workers:
-        Optional thread pool size; samples are independent and the
-        aggregation is order-free.
 
     The estimate for each sample is
     (2^{L+1} - 2 - rank dmu) - (dim K_alpha - dim isotropy), with
@@ -439,18 +421,7 @@ def numeric_dim(
     if len(seeds) != n_samples:
         raise ValidationError(f"expected {n_samples} seeds, got {len(seeds)}")
 
-    if max_workers is not None and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            audits = list(
-                pool.map(
-                    lambda s: _one_sample(target, s, tol, rank_tol, dim_k_alpha, dim_proj, L),
-                    seeds,
-                )
-            )
-    else:
-        audits = [
-            _one_sample(target, s, tol, rank_tol, dim_k_alpha, dim_proj, L) for s in seeds
-        ]
+    audits = [_one_sample(target, s, tol, rank_tol, dim_k_alpha, dim_proj, L) for s in seeds]
 
     estimates = {a.estimate for a in audits}
     regular = all(a.regular for a in audits)

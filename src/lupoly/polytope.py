@@ -370,16 +370,18 @@ def random_wall_point(num_qubits: int, rng, distinguished: int = 1) -> SpectraPo
     """
     L = num_qubits
     d = distinguished
-    if L < 3:
-        raise ValidationError("wall sampling needs at least three qubits")
+    if not 3 <= L <= MAX_QUBITS:
+        raise ValidationError(f"wall sampling supports 3..{MAX_QUBITS} qubits")
     if not 1 <= d <= L:
         raise ValidationError(f"distinguished qubit {d} out of range 1..{L}")
     m_d = rng.uniform(0.55, 0.95)
     floor = 0.25 * (1.0 - m_d) / (L - 1)
-    while True:
+    for _ in range(10000):
         parts = rng.dirichlet([1.0] * (L - 1)) * (1.0 - m_d)
         if parts.min() >= floor:
             break
+    else:
+        raise ValidationError(f"no wall point found for L={L}")
     lams = [0.0] * L
     lams[d - 1] = m_d - 0.5
     rest = iter(0.5 - parts)

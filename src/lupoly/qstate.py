@@ -181,6 +181,8 @@ class SpectraPoint:
         if not lams:
             raise ValidationError("a spectra point needs at least one coordinate")
         for x in lams:
+            if isinstance(x, (bool, np.bool_)):
+                raise ValidationError("spectra coordinates must be numbers, not booleans")
             if not _is_exact(x) and not math.isfinite(float(x)):
                 raise ValidationError("spectra coordinates must be finite")
         object.__setattr__(self, "lambdas", lams)
@@ -202,15 +204,19 @@ class SpectraPoint:
         return cls(tuple(Fraction(v) for v in values))
 
 
+def one_qubit_marginal(amps: np.ndarray, num_qubits: int, l: int) -> np.ndarray:
+    """Unvalidated 2x2 partial trace of an amplitude vector onto qubit l (1-based)."""
+    t = amps.reshape((2,) * num_qubits)
+    other_axes = tuple(i for i in range(num_qubits) if i != l - 1)
+    return np.tensordot(t, t.conj(), axes=(other_axes, other_axes))
+
+
 def reduce_one_qubit(state: PureState, l: int) -> DensityMatrix2:
     """Partial trace onto qubit l (1-based), discarding all other qubits."""
     L = state.num_qubits
     if not 1 <= l <= L:
         raise ValidationError(f"qubit index {l} out of range 1..{L}")
-    t = state.tensor_view()
-    other_axes = tuple(i for i in range(L) if i != l - 1)
-    rho = np.tensordot(t, t.conj(), axes=(other_axes, other_axes))
-    return DensityMatrix2(rho)
+    return DensityMatrix2(one_qubit_marginal(state.amplitudes, L, l))
 
 
 def momentum_map(state: PureState) -> MomentumValue:

@@ -18,9 +18,9 @@ from .qstate import MAX_QUBITS, PureState, apply_slot_operator, reduce_one_qubit
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-H_DIAG = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
 RANK_TOL = 1e-8
 REDUCTION_TOL = 1e-10
@@ -63,9 +63,9 @@ def generator_set(num_qubits: int) -> GeneratorSet:
     compact = []
     complexified = []
     for slot in range(1, num_qubits + 1):
-        for name, factor in (("X", SIGMA_X), ("Y", SIGMA_Y), ("Z", SIGMA_Z)):
-            compact.append(SlotOperator(f"i*sigma_{name.lower()}@{slot}", slot, 1j * factor))
-        for name, factor in (("E12", E12), ("E21", E21), ("H", H_DIAG)):
+        for name, factor in zip("xyz", PAULIS):
+            compact.append(SlotOperator(f"i*sigma_{name}@{slot}", slot, 1j * factor))
+        for name, factor in (("E12", E12), ("E21", E21), ("H", SIGMA_Z)):
             complexified.append(SlotOperator(f"{name}@{slot}", slot, factor))
     return GeneratorSet(num_qubits, tuple(compact), tuple(complexified))
 

@@ -100,6 +100,23 @@ class TestExitCodes:
         code, _, err = run(capsys, "classify", "--lambda", "0.1,zebra")
         assert code == 1 and "bad lambda list" in json.loads(err)["error"]["message"]
 
+    @pytest.mark.parametrize("token", ("1e400", "1e999999999"))
+    def test_overflowing_lambda_token(self, capsys, token):
+        code, _, err = run(capsys, "dim", "--lambda", f"{token},0.1,0.1")
+        assert code == 1 and "finite" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("entry", ('"zebra"', "null", "[0.1]", "false", "true"))
+    def test_bad_stdin_lambda_entry(self, capsys, monkeypatch, entry):
+        stdin = f'{{"lambdas": [{entry}, 0.1, 0.1]}}'
+        code, doc, err = run(capsys, "dim", stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and doc is None
+        assert json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_stdin_integer_past_digit_limit(self, capsys, monkeypatch):
+        stdin = '{"lambdas": [' + "1" * 5000 + ", 0.1, 0.1]}"
+        code, _, err = run(capsys, "dim", stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and "not valid JSON" in err
+
     def test_two_input_sources(self, capsys, tmp_path):
         path = tmp_path / "s.json"
         dump_state(stable_state(4), path)
@@ -177,6 +194,19 @@ class TestInputRouting:
             capsys, "dim", stdin='{"lambdas": [0.1, 0.2, 0.15]}', monkeypatch=monkeypatch
         )
         assert code == 0 and doc["dim_M"] == 2
+
+    def test_stdin_lambdas_follow_the_token_rule(self, capsys, monkeypatch):
+        exact = '{"lambdas": ["1/6", "1/3", "1/3"]}'
+        code, doc, _ = run(capsys, "dim", stdin=exact, monkeypatch=monkeypatch)
+        assert code == 0 and doc["dim_M"] == 0
+        assert doc["classification"]["exact"] is True
+        assert doc["classification"]["tight_walls"] == [1]
+        code, inline, _ = run(capsys, "dim", "--lambda", "1/6,1/3,1/3")
+        assert inline == doc
+        mixed = '{"lambdas": [0, "1/10", 0.2, 0.15]}'
+        code, doc, _ = run(capsys, "dim", stdin=mixed, monkeypatch=monkeypatch)
+        assert code == 0 and doc["dim_M"] == 12
+        assert doc["classification"]["exact"] is False
 
     def test_whole_fiber_document_pipes_through(self, capsys, monkeypatch):
         code, sample, _ = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15")

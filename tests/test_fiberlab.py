@@ -22,6 +22,7 @@ from lupoly import (
     sample_fiber,
     stable_state,
 )
+from lupoly import fiberlab
 
 INTERIOR3 = SpectraPoint((0.1, 0.2, 0.15))
 
@@ -79,6 +80,29 @@ class TestSampleFiber:
     def test_gives_up_honestly(self):
         with pytest.raises(ConvergenceError):
             sample_fiber(INTERIOR3, seed=0, max_iters=1, max_restarts=0)
+
+    def test_failure_reports_best_residual(self, monkeypatch):
+        seen = []
+        spectra_residual = fiberlab._spectra_residual
+
+        def recording(state, target):
+            seen.append(spectra_residual(state, target))
+            return seen[-1]
+
+        monkeypatch.setattr(fiberlab, "_spectra_residual", recording)
+        with pytest.raises(ConvergenceError) as exc:
+            sample_fiber(INTERIOR3, seed=0, max_iters=3, max_restarts=2)
+        assert len(seen) == 3 and min(seen) < seen[-1]
+        assert f"(best residual {min(seen):.3e})" in str(exc.value)
+
+    def test_early_stop_counts_iterations_done(self):
+        # a product state is a critical point: its tangent gradient vanishes
+        amps = PureState.basis(3, 0).amplitudes.copy()
+        _, f, iterations = fiberlab._descend(
+            amps, 3, INTERIOR3.as_array(), np.zeros(3, dtype=bool), 1e-10, 500
+        )
+        assert iterations == 0
+        assert f > 0.1
 
 
 class TestMomentumDifferential:
@@ -155,12 +179,6 @@ class TestNumericDim:
     def test_explicit_seeds_must_match_count(self):
         with pytest.raises(ValidationError, match="expected 3 seeds"):
             numeric_dim(INTERIOR3, n_samples=3, seeds=[1, 2])
-
-    def test_thread_pool_matches_serial(self):
-        serial = numeric_dim(INTERIOR3, n_samples=3)
-        pooled = numeric_dim(INTERIOR3, n_samples=3, max_workers=3)
-        assert pooled.dim_estimate == serial.dim_estimate
-        assert [a.rank_dmu for a in pooled.samples] == [a.rank_dmu for a in serial.samples]
 
     def test_sample_audits_recorded(self):
         estimate = numeric_dim(INTERIOR3, n_samples=2, seeds=[7, 9])

@@ -244,6 +244,12 @@ class TestSamplers:
         with pytest.raises(ValidationError):
             random_wall_point(2, rng)
 
+    def test_wall_sampler_bounds_qubit_count(self):
+        rng = np.random.default_rng(14)
+        assert classify(random_wall_point(12, rng)).tight_walls == (1,)
+        with pytest.raises(ValidationError, match="3..12"):
+            random_wall_point(13, rng)
+
     def test_interior_sampler_margin_bounds(self):
         rng = np.random.default_rng(17)
         with pytest.raises(ValidationError):

@@ -190,6 +190,12 @@ class TestSpectraPoint:
         with pytest.raises(ValidationError):
             SpectraPoint((float("inf"), 0.0))
 
+    @pytest.mark.parametrize("flag", (True, False, np.True_))
+    def test_rejects_booleans(self, flag):
+        # bool is a numbers.Rational, so without a check True would pass as 1
+        with pytest.raises(ValidationError, match="booleans"):
+            SpectraPoint((flag, 0.1, 0.1))
+
     def test_as_array_round_trip(self):
         point = SpectraPoint.exact(["0", "1/2"])
         assert np.allclose(point.as_array(), [0.0, 0.5])
