@@ -14,38 +14,24 @@ import argparse
 import json
 import re
 import sys
-import time
 import traceback
 from fractions import Fraction
 
-import numpy as np
-
 from .dimension import dim_for_point, report_document
 from .errors import InternalInvariantError, NumericalError, ValidationError
-from .fiberlab import numeric_dim, rank_dmu, sample_fiber
-from .polytope import (
-    classify,
-    facets,
-    membership,
-    random_interior_point,
-    random_wall_point,
-    vertices,
-    vertices_oracle,
-)
+from .fiberlab import numeric_dim, sample_fiber
+from .polytope import classify, facets, vertices, vertices_oracle
 from .qstate import (
     PureState,
     SpectraPoint,
-    apply_local_unitary,
-    haar_state,
     load_state,
     psi_map,
     purity_invariants,
-    random_local_unitaries,
     state_document,
     state_from_document,
 )
-from .stability import complement_pair_state, orbit_dimensions, stable_state, verify_stable
-from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_check, wall_state
+from .stability import stable_state, verify_stable
+from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_check
 
 # Tokens honored exactly: integers and p/q fractions.  Anything else in
 # a lambda list demotes the whole point to float coordinates.
@@ -60,6 +46,21 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def _int_from(low: int):
+    """argparse type: an integer no smaller than ``low``; argparse reports a non-integer."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+
+    return integer
+
+
+_SEED, _COUNT = _int_from(0), _int_from(1)
 
 
 def _point_from_tokens(tokens: list[str]) -> SpectraPoint:
@@ -156,12 +157,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _setting(args, key: str):
-    """Flag value if given, else config file value, else None."""
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    return args.config_values.get(key)
+def _settings(args, *keys: str) -> dict:
+    """Keyword arguments: each key's flag value if given, else its config file value."""
+    found = {}
+    for key in keys:
+        value = getattr(args, key, None)
+        found[key] = args.config_values.get(key) if value is None else value
+    return {key: value for key, value in found.items() if value is not None}
 
 
 def _stratum_document(stratum) -> dict:
@@ -207,15 +209,13 @@ def cmd_psi(args):
 
 def cmd_classify(args):
     point = _resolve_point(args)
-    tol = _setting(args, "tol")
-    stratum = classify(point) if tol is None else classify(point, tol=tol)
+    stratum = classify(point, **_settings(args, "tol"))
     return _stratum_document(stratum), 0
 
 
 def cmd_dim(args):
     point = _resolve_point(args)
-    tol = _setting(args, "tol")
-    stratum, report = dim_for_point(point) if tol is None else dim_for_point(point, tol=tol)
+    stratum, report = dim_for_point(point, **_settings(args, "tol"))
     doc = report_document(report)
     doc["classification"] = _stratum_document(stratum)
     return doc, 0
@@ -282,8 +282,6 @@ def cmd_wall_check(args):
 
 
 def cmd_stable(args):
-    rank_tol = _setting(args, "rank_tol")
-    rank_kw = {} if rank_tol is None else {"rank_tol": rank_tol}
     if args.state is not None:
         if args.L is not None or args.alpha is not None:
             raise ValidationError("--state verifies an existing state; drop -L/--alpha")
@@ -294,7 +292,7 @@ def cmd_stable(args):
             raise ValidationError("pass -L to construct a state or --state to verify one")
         state = stable_state(args.L, alpha=args.alpha)
         constructed = True
-    report = verify_stable(state, k1=args.k1, **rank_kw)
+    report = verify_stable(state, k1=args.k1, **_settings(args, "rank_tol"))
     doc = {"num_qubits": state.num_qubits, "alpha": args.alpha}
     doc.update(report.document())
     if constructed:
@@ -305,9 +303,7 @@ def cmd_stable(args):
 
 def cmd_sample_fiber(args):
     point = _resolve_point(args)
-    tol = _setting(args, "tol")
-    kw = {} if tol is None else {"tol": tol}
-    sample = sample_fiber(point, seed=args.seed, **kw)
+    sample = sample_fiber(point, seed=args.seed, **_settings(args, "tol"))
     doc = {
         "num_qubits": sample.state.num_qubits,
         "target": [float(x) for x in sample.target.lambdas],
@@ -323,191 +319,24 @@ def cmd_sample_fiber(args):
 
 def cmd_oracle_dim(args):
     point = _resolve_point(args)
-    kw = {}
-    tol = _setting(args, "tol")
-    if tol is not None:
-        kw["tol"] = tol
-    rank_tol = _setting(args, "rank_tol")
-    if rank_tol is not None:
-        kw["rank_tol"] = rank_tol
     estimate = numeric_dim(
         point,
         n_samples=args.samples,
         seeds=[args.seed + i for i in range(args.samples)],
-        **kw,
+        **_settings(args, "tol", "rank_tol"),
     )
     return estimate.document(), 0 if estimate.status == "ok" else 2
 
 
-# --- selftest: the acceptance criteria at reduced sample counts ------------
-
-
-def _selftest_three_qubit(samples, rng):
-    for _ in range(samples):
-        _, report = dim_for_point(random_interior_point(3, rng))
-        assert report.dim_M == 2 and report.num_invariants == 5, report
-    boundary = []
-    for _ in range(samples):
-        a = rng.uniform(0.05, 0.2)
-        # keep the first wall slack positive: 1/2 - 2a - b >= 0.05
-        b = rng.uniform(0.05, 0.45 - 2 * a)
-        boundary.append(SpectraPoint((0.0, a, a + b)))
-        boundary.append(random_wall_point(3, rng))
-        c = rng.uniform(0.05, 0.45)
-        boundary.append(SpectraPoint((0.5, c, c)))
-    for point in boundary:
-        _, report = dim_for_point(point)
-        assert report.dim_M == 0, (point.lambdas, report)
-    return f"{samples} interior, {len(boundary)} boundary points"
-
-
-def _selftest_four_qubit(samples, rng):
-    chain = [
-        ((0.1, 0.1, 0.2, 0.15), 14),
-        ((0.0, 0.1, 0.2, 0.15), 12),
-        ((0.0, 0.0, 0.2, 0.15), 10),
-        ((0.0, 0.0, 0.0, 0.15), 8),
-        ((0.0, 0.0, 0.0, 0.0), 6),
-    ]
-    for lams, want in chain:
-        _, report = dim_for_point(SpectraPoint(lams))
-        assert report.dim_M == want, (lams, report.dim_M, want)
-    _, report = dim_for_point(random_wall_point(4, rng))
-    assert report.dim_M == 0, report
-    _, report = dim_for_point(SpectraPoint.exact(["1/2", "1/10", "1/5", "3/20"]))
-    assert report.dim_M == 2, report
-    _, report = dim_for_point(SpectraPoint.exact(["1/2", "0", "1/5", "3/20"]))
-    assert report.dim_M == 0, report
-    return "interior chain 14/12/10/8/6, wall 0, half-face 2/0"
-
-
-def _selftest_combinatorics(samples, rng):
-    for L in range(2, 13):
-        count = len(vertices(L).vertices)
-        assert count == 2**L - L, (L, count)
-    for L in range(2, 5):
-        assert vertices(L).coordinate_set() == vertices_oracle(L).coordinate_set(), L
-    for L in (4, 5):
-        assert len(facets(L)) == 3 * L, L
-    return "counts L=2..12, oracle L=2..4, facets L=4..5"
-
-
-def _selftest_xspec(samples, rng):
-    from math import comb
-
-    for L in range(1, 7):
-        spec = dict(build_wall_operator(L).spectrum())
-        want = {}
-        for k in range(L + 1):
-            want[-L + 2 * k] = want.get(-L + 2 * k, 0) + comb(L, k)
-        assert spec == want, (L, spec, want)
-        assert eigenspace_basis(L, 1, 1).dim == L, L
-    return "spectra L=1..6 exact, low eigenspace dim = L"
-
-
-def _selftest_oracle_dim(samples, rng):
-    est = numeric_dim(SpectraPoint((0.1, 0.1, 0.1)), n_samples=samples)
-    assert est.status == "ok" and est.dim_estimate == 2, est.document()
-    est = numeric_dim(SpectraPoint((0.0, 0.0, 0.0, 0.0)), n_samples=samples)
-    assert est.status == "ok" and est.dim_estimate == 6, est.document()
-    return "interior L=3 -> 2, v_GHZ L=4 -> 6"
-
-
-def _selftest_stability(samples, rng):
-    for L in (4, 5):
-        report = verify_stable(stable_state(L))
-        assert report.stable and report.max_reduction_deviation <= 1e-12, (L, report.document())
-    assert verify_stable(complement_pair_state(4, 2.0)).stable
-    assert not verify_stable(complement_pair_state(4, 1.0)).stable
-    return "stable L=4,5; four-qubit weight 2 passes, weight 1 fails"
-
-
-def _selftest_wall(samples, rng):
-    for L in range(3, 11):
-        cert = torus_transitivity_check(L)
-        assert cert.rank == L and cert.transitive, (L, cert.document())
-    for L in (3, 4):
-        for _ in range(samples):
-            target = random_wall_point(L, rng)
-            state = wall_state(target, rng.uniform(-np.pi, np.pi, size=L))
-            off = float(np.abs(psi_map(state).as_array() - target.as_array()).max())
-            assert off <= 1e-10, (L, target.lambdas, off)
-    return f"torus rank L=3..10, {2 * samples} wall states reproduced"
-
-
-def _selftest_properties(samples, rng):
-    checked = 0
-    for L in (2, 3):
-        for _ in range(samples):
-            state = haar_state(L, rng)
-            point = psi_map(state)
-            assert membership(point).member, point.lambdas
-            assert np.allclose(
-                purity_invariants(state), 0.5 + 2.0 * point.as_array() ** 2, atol=1e-12
-            )
-            rotated = apply_local_unitary(state, random_local_unitaries(L, rng))
-            assert np.allclose(
-                psi_map(rotated).as_array(), point.as_array(), atol=1e-10
-            )
-            rank = rank_dmu(state)
-            iso = orbit_dimensions(state).dim_isotropy_algebra
-            assert rank == 3 * L - iso, (L, rank, iso)
-            checked += 1
-    return f"{checked} Haar states: membership, purity, equivariance, rank duality"
-
-
-_SELFTEST = (
-    (1, "three-qubit dims", _selftest_three_qubit),
-    (2, "four-qubit table", _selftest_four_qubit),
-    (3, "polytope combinatorics", _selftest_combinatorics),
-    (4, "wall-operator spectrum", _selftest_xspec),
-    (5, "numeric dim oracle", _selftest_oracle_dim),
-    (6, "stability family", _selftest_stability),
-    (7, "wall certificate", _selftest_wall),
-    (8, "property suite", _selftest_properties),
-)
-
-
 def cmd_selftest(args):
-    criteria = []
-    for cid, name, check in _SELFTEST:
-        rng = np.random.default_rng(args.seed + cid)
-        start = time.perf_counter()
-        try:
-            detail = check(args.samples, rng)
-            passed = True
-        except AssertionError as exc:
-            detail = f"failed: {exc}"
-            passed = False
-        criteria.append(
-            {
-                "id": cid,
-                "name": name,
-                "passed": passed,
-                "seconds": round(time.perf_counter() - start, 3),
-                "detail": detail,
-            }
-        )
-    all_passed = all(c["passed"] for c in criteria)
-    return {"passed": all_passed, "criteria": criteria}, 0 if all_passed else 2
+    from . import criteria  # loaded here so the other subcommands start without it
+
+    results = [criteria.run(c, args.samples, args.seed + c.id) for c in criteria.CRITERIA]
+    passed = all(r["passed"] for r in results)
+    return {"passed": passed, "criteria": results}, 0 if passed else 2
 
 
 # --- parser wiring ----------------------------------------------------------
-
-
-def _add_point_flags(sub):
-    sub.add_argument(
-        "--lambda",
-        dest="lambdas",
-        metavar="LIST",
-        help="comma-separated shifted spectra; p/q tokens are kept exact",
-    )
-    sub.add_argument("--state", metavar="FILE", help="state-file path, or - for stdin")
-
-
-def _add_common_flags(sub):
-    sub.add_argument("--config", metavar="FILE", help="JSON file with tolerance defaults")
-    sub.add_argument("-o", "--output", metavar="FILE", help="also write the document here")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -517,76 +346,61 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p = sub.add_parser("psi", help="shifted marginal spectra of a state")
+    def command(name: str, handler, help: str, point: bool = False):
+        """Subcommand parser with the flags every subcommand takes, plus the point flags."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        if point:
+            rule = "comma-separated shifted spectra; p/q tokens are kept exact"
+            p.add_argument("--lambda", dest="lambdas", metavar="LIST", help=rule)
+            p.add_argument("--state", metavar="FILE", help="state-file path, or - for stdin")
+        p.add_argument("--config", metavar="FILE", help="JSON file with tolerance defaults")
+        p.add_argument("-o", "--output", metavar="FILE", help="also write the document here")
+        return p
+
+    p = command("psi", cmd_psi, "shifted marginal spectra of a state")
     p.add_argument("--state", metavar="FILE", required=True, help="state-file path, or - for stdin")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_psi)
 
-    p = sub.add_parser("classify", help="boundary stratum of a point")
-    _add_point_flags(p)
+    p = command("classify", cmd_classify, "boundary stratum of a point", point=True)
     p.add_argument("--tol", type=float, help="slack tolerance for float points")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_classify)
 
-    p = sub.add_parser("dim", help="reduced-space dimension at a point")
-    _add_point_flags(p)
+    p = command("dim", cmd_dim, "reduced-space dimension at a point", point=True)
     p.add_argument("--tol", type=float, help="slack tolerance for float points")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_dim)
 
-    p = sub.add_parser("vertices", help="vertex list of the region")
+    p = command("vertices", cmd_vertices, "vertex list of the region")
     p.add_argument("-L", type=int, required=True, help="number of qubits")
     p.add_argument("--oracle", action="store_true", help="cross-check against exact enumeration")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_vertices)
 
-    p = sub.add_parser("facets", help="facet lattice for plotting")
+    p = command("facets", cmd_facets, "facet lattice for plotting")
     p.add_argument("-L", type=int, required=True, help="number of qubits")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_facets)
 
-    p = sub.add_parser("xspec", help="wall-operator spectrum")
+    p = command("xspec", cmd_xspec, "wall-operator spectrum")
     p.add_argument("-L", type=int, required=True, help="number of qubits")
     p.add_argument("-d", "--distinguished", type=int, default=1, help="distinguished qubit")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_xspec)
 
-    p = sub.add_parser("wall-check", help="torus transitivity certificate")
+    p = command("wall-check", cmd_wall_check, "torus transitivity certificate")
     p.add_argument("-L", type=int, required=True, help="number of qubits")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_wall_check)
 
-    p = sub.add_parser("stable", help="construct or verify a stable state")
+    p = command("stable", cmd_stable, "construct or verify a stable state")
     p.add_argument("-L", type=int, help="number of qubits (construction mode)")
     p.add_argument("--alpha", type=float, help="pair-family weight (four qubits)")
     p.add_argument("--k1", type=int, help="verify stability for the first k1 qubits only")
     p.add_argument("--state", metavar="FILE", help="verify this state instead of constructing")
     p.add_argument("--rank-tol", type=float, help="relative singular-value threshold")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_stable)
 
-    p = sub.add_parser("sample-fiber", help="find a state with given spectra")
-    _add_point_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p = command("sample-fiber", cmd_sample_fiber, "find a state with given spectra", point=True)
+    p.add_argument("--seed", type=_SEED, default=0, help="random seed (>= 0)")
     p.add_argument("--tol", type=float, help="residual tolerance")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_sample_fiber)
 
-    p = sub.add_parser("oracle-dim", help="sampled reduced-space dimension")
-    _add_point_flags(p)
-    p.add_argument("--samples", type=int, default=5, help="number of fiber samples")
-    p.add_argument("--seed", type=int, default=0, help="base seed; sample i uses seed+i")
+    p = command("oracle-dim", cmd_oracle_dim, "sampled reduced-space dimension", point=True)
+    p.add_argument("--samples", type=_COUNT, default=5, help="number of fiber samples (>= 1)")
+    p.add_argument("--seed", type=_SEED, default=0, help="base seed (>= 0); sample i uses seed+i")
     p.add_argument("--tol", type=float, help="residual tolerance")
     p.add_argument("--rank-tol", type=float, help="relative singular-value threshold")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_oracle_dim)
 
-    p = sub.add_parser("selftest", help="acceptance checks, reduced counts")
-    p.add_argument("--samples", type=int, default=2, help="samples per randomized check")
-    p.add_argument("--seed", type=int, default=0, help="base seed")
-    _add_common_flags(p)
-    p.set_defaults(handler=cmd_selftest)
-
+    p = command("selftest", cmd_selftest, "the acceptance criteria at reduced counts")
+    p.add_argument("--samples", type=_COUNT, default=2, help="samples per randomized check (>= 1)")
+    p.add_argument("--seed", type=_SEED, default=0, help="base seed (>= 0); criterion N uses seed+N")
     return parser
 
 

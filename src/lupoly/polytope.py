@@ -20,7 +20,7 @@ from itertools import combinations
 
 from ._exact import exact_rank, solve_unique
 from .errors import ValidationError
-from .qstate import SpectraPoint
+from .qstate import SpectraPoint, check_qubit_count
 
 HALF = Fraction(1, 2)
 
@@ -29,7 +29,6 @@ MEMBER_TOL = 1e-9
 
 # The exact vertex-enumeration cross-check is meant for small systems.
 MAX_ORACLE_QUBITS = 8
-MAX_QUBITS = 12
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,7 @@ class PolytopeModel:
 
 
 def polytope_model(num_qubits: int) -> PolytopeModel:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must lie in 1..{MAX_QUBITS}")
+    check_qubit_count(num_qubits, 1, "polytope_model")
     ineqs = []
     for kind in ("lower", "upper", "wall"):
         ineqs.extend(Inequality(kind, l) for l in range(1, num_qubits + 1))
@@ -243,8 +241,7 @@ def vertices(num_qubits: int) -> VertexList:
     coordinates is 0 or at least 2, giving 2**L - L vertices.
     """
     L = num_qubits
-    if not 1 <= L <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must lie in 1..{MAX_QUBITS}")
+    check_qubit_count(L, 1, "vertices")
     out = [_vertex_from_zero_set(L, ())]
     for k in range(2, L + 1):
         out.extend(_vertex_from_zero_set(L, zs) for zs in combinations(range(1, L + 1), k))
@@ -347,8 +344,7 @@ def facets(num_qubits: int) -> tuple:
 def random_interior_point(num_qubits: int, rng, margin: float = 0.02) -> SpectraPoint:
     """Rejection-sample a point with all 3L slacks at least ``margin``."""
     L = num_qubits
-    if not 2 <= L <= MAX_QUBITS:
-        raise ValidationError(f"supported sizes are 2..{MAX_QUBITS} qubits")
+    check_qubit_count(L, 2, "interior sampling")
     if not 0.0 < margin < 0.1:
         raise ValidationError("margin must sit in (0, 0.1)")
     wall_rhs = 0.5 * (L - 2)
@@ -370,8 +366,7 @@ def random_wall_point(num_qubits: int, rng, distinguished: int = 1) -> SpectraPo
     """
     L = num_qubits
     d = distinguished
-    if not 3 <= L <= MAX_QUBITS:
-        raise ValidationError(f"wall sampling supports 3..{MAX_QUBITS} qubits")
+    check_qubit_count(L, 3, "wall sampling")
     if not 1 <= d <= L:
         raise ValidationError(f"distinguished qubit {d} out of range 1..{L}")
     m_d = rng.uniform(0.55, 0.95)

@@ -33,6 +33,12 @@ UNITARY_TOL = 1e-10
 MAX_QUBITS = 12
 
 
+def check_qubit_count(num_qubits: int, low: int, what: str) -> None:
+    """Refuse a qubit count outside low..MAX_QUBITS before anything is allocated."""
+    if not low <= num_qubits <= MAX_QUBITS:
+        raise ValidationError(f"{what} supports {low}..{MAX_QUBITS} qubits, got {num_qubits}")
+
+
 def _num_qubits_for(dim: int) -> int:
     L = dim.bit_length() - 1
     if dim <= 1 or 2**L != dim:
@@ -86,6 +92,7 @@ class PureState:
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "PureState":
         """Computational basis state |index> on num_qubits qubits."""
+        check_qubit_count(num_qubits, 1, "PureState.basis")
         dim = 2**num_qubits
         if not 0 <= index < dim:
             raise ValidationError(f"basis index {index} out of range for {num_qubits} qubits")
@@ -281,8 +288,7 @@ def apply_local_unitary(state: PureState, g: Sequence[np.ndarray]) -> PureState:
 
 def haar_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state drawn from an existing generator."""
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must lie in 1..{MAX_QUBITS}")
+    check_qubit_count(num_qubits, 1, "haar_state")
     z = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
     return PureState(num_qubits, z / np.linalg.norm(z))
 
@@ -312,7 +318,7 @@ def random_local_unitaries(num_qubits: int, rng: np.random.Generator) -> list[np
 def loads_state(text: str, renormalize: bool = False) -> PureState:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"state file is not valid JSON: {exc}") from exc
     return state_from_document(doc, renormalize=renormalize)
 
@@ -322,15 +328,19 @@ def state_from_document(doc, renormalize: bool = False) -> PureState:
         raise ValidationError('state document must be {"L": ..., "amplitudes": [[re, im], ...]}')
     L = doc["L"]
     raw = doc["amplitudes"]
-    if not isinstance(L, int) or not 1 <= L <= MAX_QUBITS:
+    if type(L) is not int or not 1 <= L <= MAX_QUBITS:  # refuses true/false too
         raise ValidationError(f"L must be an integer in 1..{MAX_QUBITS}")
     if not isinstance(raw, list) or len(raw) != 2**L:
         raise ValidationError(f"expected 2**{L} = {2**L} amplitude entries, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
     amps = []
     for entry in raw:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValidationError("each amplitude must be a [re, im] pair")
-        amps.append(complex(float(entry[0]), float(entry[1])))
+        pair = isinstance(entry, (list, tuple)) and len(entry) == 2
+        if not pair or any(type(x) not in (int, float) for x in entry):  # JSON true/false too
+            raise ValidationError("each amplitude must be a [re, im] pair of numbers")
+        try:
+            amps.append(complex(float(entry[0]), float(entry[1])))
+        except OverflowError as exc:
+            raise ValidationError(f"amplitude part out of float range: {exc}") from exc
     return PureState.from_amplitudes(amps, renormalize=renormalize)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import MAX_QUBITS, PureState, apply_slot_operator, reduce_one_qubit
+from .qstate import PureState, apply_slot_operator, check_qubit_count, reduce_one_qubit
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -58,8 +58,7 @@ class GeneratorSet:
 
 
 def generator_set(num_qubits: int) -> GeneratorSet:
-    if not 1 <= num_qubits <= MAX_QUBITS:
-        raise ValidationError(f"qubit count must lie in 1..{MAX_QUBITS}")
+    check_qubit_count(num_qubits, 1, "generator_set")
     compact = []
     complexified = []
     for slot in range(1, num_qubits + 1):
@@ -150,8 +149,7 @@ def complement_pair_state(num_qubits: int, ghz_weight: float) -> PureState:
     the guaranteed-stable set can still be probed.
     """
     L = num_qubits
-    if L < 2:
-        raise ValidationError("the paired-ket family needs at least two qubits")
+    check_qubit_count(L, 2, "the paired-ket family")
     full = 2**L - 1
     amps = np.zeros(2**L, dtype=np.complex128)
     amps[0] += ghz_weight

@@ -19,7 +19,7 @@ import numpy as np
 from ._exact import exact_rank
 from .errors import ValidationError
 from .polytope import HALF, membership
-from .qstate import PureState, SpectraPoint
+from .qstate import PureState, SpectraPoint, check_qubit_count
 
 # A state must sit inside the claimed eigenspace this tightly.
 PROJECTION_TOL = 1e-10
@@ -51,8 +51,7 @@ def build_wall_operator(num_qubits: int, distinguished: int = 1) -> WallOperator
     the wall inequality itself is only meaningful from two qubits up.
     """
     L = num_qubits
-    if L < 1:
-        raise ValidationError("need at least one qubit")
+    check_qubit_count(L, 1, "the wall operator")
     if not 1 <= distinguished <= L:
         raise ValidationError(f"distinguished index {distinguished} out of range 1..{L}")
     xi = tuple(-1 if l == distinguished else 1 for l in range(1, L + 1))
@@ -92,6 +91,7 @@ class WeightSubspaceBasis:
 def zero_pattern_basis(num_qubits: int, k: int) -> WeightSubspaceBasis:
     """Span of all kets with exactly k qubits in |0> (dimension C(L,k))."""
     L = num_qubits
+    check_qubit_count(L, 1, "zero_pattern_basis")
     if not 0 <= k <= L:
         raise ValidationError(f"k={k} out of range 0..{L}")
     full = 2**L - 1
@@ -112,6 +112,7 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     and one further position, in ascending order.
     """
     L = num_qubits
+    check_qubit_count(L, 1, "eigenspace_basis")
     if not 0 <= k <= L:
         raise ValidationError(f"k={k} out of range 0..{L}")
     if not 1 <= distinguished <= L:
@@ -295,8 +296,7 @@ def torus_transitivity_check(num_qubits: int) -> TorusCertificate:
     the global-phase direction (1, ..., 1).
     """
     L = num_qubits
-    if L < 3:
-        raise ValidationError("the torus certificate needs at least three qubits")
+    check_qubit_count(L, 3, "the torus certificate")
     rows = [[-1] * L]
     for l in range(2, L + 1):
         row = [-1] * L

@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import numpy as np
 import pytest
 
 from lupoly import ConvergenceError, InternalInvariantError, dump_state, schemas, stable_state
-from lupoly import cli
+from lupoly import cli, criteria
+from lupoly.qstate import MAX_QUBITS
 
 
 class FakeTty(io.StringIO):
@@ -115,6 +119,46 @@ class TestExitCodes:
     def test_stdin_integer_past_digit_limit(self, capsys, monkeypatch):
         stdin = '{"lambdas": [' + "1" * 5000 + ", 0.1, 0.1]}"
         code, _, err = run(capsys, "dim", stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and "not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (
+            "sample-fiber --lambda 0.1,0.2,0.15 --seed -1",
+            "oracle-dim --lambda 0.1,0.1,0.1 --seed -1",
+            "oracle-dim --lambda 0.1,0.1,0.1 --samples 0",
+            "selftest --seed -1",
+            "selftest --samples 0",
+        ),
+    )
+    def test_seed_and_sample_bounds(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv.split())
+        assert exc.value.code == 1
+        assert "expected an integer >=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ("stable", "xspec", "wall-check"))
+    def test_qubit_count_past_the_bound(self, capsys, command):
+        code, doc, err = run(capsys, command, "-L", str(MAX_QUBITS + 1))
+        assert code == 1 and doc is None
+        assert f"..{MAX_QUBITS} qubits" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "stdin",
+        (
+            '{"L": 1, "amplitudes": [["a", 0], [1, 0]]}',
+            '{"L": 1, "amplitudes": [[true, false], [false, false]]}',
+            '{"L": true, "amplitudes": [[1, 0], [0, 0]]}',
+        ),
+    )
+    def test_malformed_state_document(self, capsys, monkeypatch, stdin):
+        code, _, err = run(capsys, "psi", "--state", "-", stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and json.loads(err)["error"]["type"] == "ValidationError"
+
+    def test_state_file_integer_past_digit_limit(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"L": 1, "amplitudes": [[' + "1" * 5000 + ", 0], [0, 0]]}")
+        code, _, err = run(capsys, "psi", "--state", str(path))
         assert code == 1 and "not valid JSON" in err
 
     def test_two_input_sources(self, capsys, tmp_path):
@@ -346,11 +390,31 @@ class TestSelftest:
         assert all(c["passed"] for c in doc["criteria"])
 
     def test_failure_exits_two(self, capsys, monkeypatch):
-        def always_fails(samples, rng):
+        def always_fails(samples, seed):
             raise AssertionError("forced")
 
-        monkeypatch.setattr(cli, "_SELFTEST", ((1, "forced failure", always_fails),))
+        forced = criteria.Criterion(1, "forced failure", 1.0, always_fails)
+        monkeypatch.setattr(criteria, "CRITERIA", (forced,))
         code, doc, _ = run(capsys, "selftest")
         assert code == 2
         assert doc["passed"] is False
         assert "forced" in doc["criteria"][0]["detail"]
+
+    def test_wrong_dimension_fails_under_optimize(self):
+        # python -O strips assert statements; the criteria must fail regardless
+        script = (
+            "import dataclasses, sys\n"
+            "from lupoly import cli, criteria\n"
+            "real = criteria.dim_for_point\n"
+            "def off_by_seven(point, **kw):\n"
+            "    stratum, report = real(point, **kw)\n"
+            "    return stratum, dataclasses.replace(report, dim_M=report.dim_M + 7)\n"
+            "criteria.dim_for_point = off_by_seven\n"
+            "sys.exit(cli.main(['selftest', '--samples', '1']))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        argv = [sys.executable, "-O", "-c", script]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 2, proc.stderr
+        failed = [c["id"] for c in json.loads(proc.stdout)["criteria"] if not c["passed"]]
+        assert {1, 2, 5} <= set(failed)

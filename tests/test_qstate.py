@@ -26,6 +26,7 @@ from lupoly import (
     random_state,
     reduce_one_qubit,
     state_document,
+    state_from_document,
 )
 
 
@@ -239,6 +240,21 @@ class TestStateFiles:
         doc = {"L": 1, "amplitudes": [[1.0, 0.0], [0.0]]}
         with pytest.raises(ValidationError, match="pair"):
             loads_state(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "doc",
+        (
+            {"L": 1, "amplitudes": [["a", 0], [1, 0]]},
+            {"L": 1, "amplitudes": [["1", 0], [0, 0]]},
+            {"L": 1, "amplitudes": [[True, False], [False, False]]},
+            {"L": 1, "amplitudes": [[1, None], [0, 0]]},
+            {"L": True, "amplitudes": [[1, 0], [0, 0]]},
+            {"L": 1, "amplitudes": [[10**400, 0], [0, 0]]},
+        ),
+    )
+    def test_rejects_non_numbers(self, doc):
+        with pytest.raises(ValidationError):
+            state_from_document(doc)
 
     def test_seeded_states_reproducible(self):
         a = random_state(4, seed=5)

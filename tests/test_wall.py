@@ -11,6 +11,7 @@ from lupoly import (
     ValidationError,
     build_wall_operator,
     check_wall_condition,
+    complement_pair_state,
     eigenspace_basis,
     psi_map,
     purity_invariants,
@@ -20,6 +21,7 @@ from lupoly import (
     wall_state,
     zero_pattern_basis,
 )
+from lupoly.qstate import MAX_QUBITS
 
 
 def eigenspace_sample(num_qubits, k, rng, distinguished=1):
@@ -252,3 +254,15 @@ class TestTorusCertificate:
     def test_needs_three_qubits(self):
         with pytest.raises(ValidationError):
             torus_transitivity_check(2)
+
+
+def test_qubit_count_bounded_before_allocation():
+    for build in (
+        build_wall_operator,
+        torus_transitivity_check,
+        lambda L: eigenspace_basis(L, 1),
+        lambda L: zero_pattern_basis(L, 1),
+        lambda L: complement_pair_state(L, 1.0),
+    ):
+        with pytest.raises(ValidationError, match=f"..{MAX_QUBITS} qubits, got 30"):
+            build(30)
