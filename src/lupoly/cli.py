@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import traceback
@@ -37,8 +38,6 @@ from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_chec
 # a lambda list demotes the whole point to float coordinates.
 _EXACT_TOKEN = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
-_CONFIG_KEYS = ("tol", "rank_tol")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad flags; the contract here is exit 1."""
@@ -61,6 +60,28 @@ def _int_from(low: int):
 
 
 _SEED, _COUNT = _int_from(0), _int_from(1)
+
+
+def _real_in(low: float, high: float = math.inf, include_low: bool = True):
+    """argparse type: a finite float in [low, high), or in (low, high) without include_low.
+
+    Also applied to config-file numbers, so it takes a str or a number.
+    """
+
+    def real(text) -> float:
+        value = float(text)
+        above = low <= value if include_low else low < value
+        if not (above and value < high):  # false for NaN and both infinities
+            interval = f"{'[' if include_low else '('}{low:g}, {high:g})"
+            raise argparse.ArgumentTypeError(f"expected a finite number in {interval}, got {text}")
+        return value
+
+    return real
+
+
+_SLACK_TOL = _real_in(0.0)  # polytope slack tolerance
+_RESIDUAL_TOL = _real_in(0.0, include_low=False)  # fiber-sampler spectra residual
+_RANK_TOL = _real_in(0.0, 1.0, include_low=False)  # relative singular-value threshold
 
 
 def _point_from_tokens(tokens: list[str]) -> SpectraPoint:
@@ -137,6 +158,7 @@ def _resolve_point(args) -> SpectraPoint:
 
 
 def _load_config(path: str | None) -> dict:
+    """Tolerance defaults; the sampler refuses a zero residual ``tol`` itself."""
     if path is None:
         return {}
     try:
@@ -144,16 +166,21 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
-    unknown = sorted(set(cfg) - set(_CONFIG_KEYS))
+    checks = {"tol": _SLACK_TOL, "rank_tol": _RANK_TOL}
+    unknown = sorted(set(cfg) - set(checks))
     if unknown:
-        raise ValidationError(f"unknown config keys {unknown}; known: {list(_CONFIG_KEYS)}")
+        raise ValidationError(f"unknown config keys {unknown}; known: {list(checks)}")
     for key, value in cfg.items():
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ValidationError(f"config key {key!r} must be a number")
+        try:
+            checks[key](value)
+        except (argparse.ArgumentTypeError, OverflowError) as exc:
+            raise ValidationError(f"config key {key!r}: {exc}") from exc
     return cfg
 
 
@@ -362,10 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", metavar="FILE", required=True, help="state-file path, or - for stdin")
 
     p = command("classify", cmd_classify, "boundary stratum of a point", point=True)
-    p.add_argument("--tol", type=float, help="slack tolerance for float points")
+    p.add_argument("--tol", type=_SLACK_TOL, help="slack tolerance for float points (>= 0)")
 
     p = command("dim", cmd_dim, "reduced-space dimension at a point", point=True)
-    p.add_argument("--tol", type=float, help="slack tolerance for float points")
+    p.add_argument("--tol", type=_SLACK_TOL, help="slack tolerance for float points (>= 0)")
 
     p = command("vertices", cmd_vertices, "vertex list of the region")
     p.add_argument("-L", type=int, required=True, help="number of qubits")
@@ -386,17 +413,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="pair-family weight (four qubits)")
     p.add_argument("--k1", type=int, help="verify stability for the first k1 qubits only")
     p.add_argument("--state", metavar="FILE", help="verify this state instead of constructing")
-    p.add_argument("--rank-tol", type=float, help="relative singular-value threshold")
+    p.add_argument("--rank-tol", type=_RANK_TOL, help="relative singular-value threshold in (0, 1)")
 
     p = command("sample-fiber", cmd_sample_fiber, "find a state with given spectra", point=True)
     p.add_argument("--seed", type=_SEED, default=0, help="random seed (>= 0)")
-    p.add_argument("--tol", type=float, help="residual tolerance")
+    p.add_argument("--tol", type=_RESIDUAL_TOL, help="residual tolerance (> 0)")
 
     p = command("oracle-dim", cmd_oracle_dim, "sampled reduced-space dimension", point=True)
     p.add_argument("--samples", type=_COUNT, default=5, help="number of fiber samples (>= 1)")
     p.add_argument("--seed", type=_SEED, default=0, help="base seed (>= 0); sample i uses seed+i")
-    p.add_argument("--tol", type=float, help="residual tolerance")
-    p.add_argument("--rank-tol", type=float, help="relative singular-value threshold")
+    p.add_argument("--tol", type=_RESIDUAL_TOL, help="residual tolerance (> 0)")
+    p.add_argument("--rank-tol", type=_RANK_TOL, help="relative singular-value threshold in (0, 1)")
 
     p = command("selftest", cmd_selftest, "the acceptance criteria at reduced counts")
     p.add_argument("--samples", type=_COUNT, default=2, help="samples per randomized check (>= 1)")

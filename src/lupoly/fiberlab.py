@@ -23,15 +23,8 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .polytope import StratumClass, classify, membership
-from .qstate import (
-    PureState,
-    SpectraPoint,
-    apply_slot_operator,
-    haar_state,
-    one_qubit_marginal,
-    psi_map,
-)
-from .stability import PAULIS, RANK_TOL, _rank_and_svals, orbit_dimensions
+from .qstate import PureState, SpectraPoint, haar_state, pauli_images, psi_map
+from .stability import RANK_TOL, _rank_and_svals, orbit_dimensions
 from .wall import wall_state
 
 FIBER_TOL = 1e-10
@@ -47,33 +40,20 @@ _STEP_MAX = 1e3
 def _objective_and_grad(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray):
     """f = sum_l (lambda_l - t_l)^2 and its tangent gradient.
 
-    For coordinates with target 0 the term equals lambda^2 = tr(B^2)/2,
-    whose gradient 2*B phi is smooth through the spectral degeneracy;
-    elsewhere the eigenvalue gradient 2*(uu*) phi is used.
+    With S the Pauli images of phi, the Bloch vectors are r = Re(S conj(phi))
+    and lambda = |r|/2.  The gradient is c . S with c_l = 2 (lambda_l - t_l) rhat_l.
+    The targets of zero_mask coordinates count as 0; there c_l = r_l, the
+    gradient of |r|^2/4, which is smooth through the spectral degeneracy.
     """
-    f = 0.0
-    grad = np.zeros_like(amps)
-    for l in range(1, L + 1):
-        rho = one_qubit_marginal(amps, L, l)
-        a = (rho[0, 0].real - rho[1, 1].real) / 2.0
-        b = rho[0, 1]
-        lam = math.hypot(a, abs(b))
-        if zero_mask[l - 1]:
-            f += lam * lam
-            block = np.array([[a, b], [np.conj(b), -a]], dtype=np.complex128)
-            grad += 2.0 * apply_slot_operator(amps, block, L, l)
-        else:
-            diff = lam - target[l - 1]
-            f += diff * diff
-            if abs(b) == 0.0 and lam - a == 0.0:
-                u = np.array([1.0, 0.0], dtype=np.complex128)
-            else:
-                u = np.array([b, lam - a], dtype=np.complex128)
-                u /= np.linalg.norm(u)
-            top_proj = np.outer(u, u.conj())
-            grad += 4.0 * diff * apply_slot_operator(amps, top_proj, L, l)
+    images = pauli_images(amps, L)
+    r = (images @ amps.conj()).real.reshape(L, 3)
+    norm = np.sqrt(np.einsum("ij,ij->i", r, r))[:, None]
+    diff = norm[:, 0] / 2.0 - np.where(zero_mask, 0.0, target)
+    unit = r / np.where(norm > 0.0, norm, 1.0)
+    unit[:, 2] += norm[:, 0] == 0.0  # rhat = z where r = 0
+    grad = (2.0 * diff[:, None] * unit).reshape(-1) @ images
     grad -= np.vdot(amps, grad) * amps
-    return f, grad
+    return float(diff @ diff), grad
 
 
 def _spectra_residual(state: PureState, target: np.ndarray) -> float:
@@ -171,6 +151,11 @@ def _exact_start(stratum: StratumClass, target: SpectraPoint,
     return full.reshape(-1), "product"
 
 
+def _check_tolerance(name: str, value: float, high: float) -> None:
+    if not 0.0 < value < high:  # false for NaN too
+        raise ValidationError(f"{name} must be a finite number in (0, {high:g}), got {value}")
+
+
 def sample_fiber(
     target: SpectraPoint,
     seed: int = 0,
@@ -194,10 +179,12 @@ def sample_fiber(
     Raises
     ------
     ValidationError
-        If the target lies outside the admissible region.
+        If ``tol`` is not a finite number > 0, or the target lies outside
+        the admissible region.
     ConvergenceError
         If no attempt reaches the tolerance; never returns a near-miss.
     """
+    _check_tolerance("residual tolerance", tol, math.inf)
     if not membership(target).member:
         raise ValidationError("target spectra lie outside the admissible region")
     L = target.num_qubits
@@ -263,21 +250,13 @@ def momentum_differential_matrix(state: PureState, slots: Sequence[int] | None =
     for l in chosen:
         if not 1 <= l <= L:
             raise ValidationError(f"slot {l} out of range 1..{L}")
-    phi_t = state.tensor_view()
-    frame = _tangent_frame(state.amplitudes)
-    rows = []
-    for j in range(frame.shape[1]):
-        for v in (frame[:, j], 1j * frame[:, j]):
-            v_t = v.reshape((2,) * L)
-            row = []
-            for l in chosen:
-                axes = tuple(i for i in range(L) if i != l - 1)
-                m = np.tensordot(v_t, phi_t.conj(), axes=(axes, axes))
-                block = m + m.conj().T
-                for sigma in PAULIS:
-                    row.append(float(np.trace(sigma @ block).real))
-            rows.append(row)
-    return np.array(rows)
+    # entry 2 Re<sigma phi, v> for v = w_j (even rows) and v = i w_j (odd rows)
+    rows = [3 * (l - 1) + k for l in chosen for k in range(3)]
+    images = pauli_images(state.amplitudes, L)[rows]
+    overlaps = (images.conj() @ _tangent_frame(state.amplitudes)).T
+    matrix = np.empty((2 * overlaps.shape[0], len(rows)))
+    matrix[0::2], matrix[1::2] = 2.0 * overlaps.real, -2.0 * overlaps.imag
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -317,6 +296,8 @@ class SampleAudit:
     residual: float
     sv_gap: float
     regular: bool
+    iterations: int  # descent steps of the fiber sample, over all restarts
+    restarts: int
 
     def document(self) -> dict:
         return {
@@ -327,6 +308,8 @@ class SampleAudit:
             "residual": self.residual,
             "sv_gap": self.sv_gap if math.isfinite(self.sv_gap) else None,
             "regular": self.regular,
+            "iterations": self.iterations,
+            "restarts": self.restarts,
         }
 
 
@@ -374,6 +357,8 @@ def _one_sample(target: SpectraPoint, seed: int, tol: float, rank_tol: float,
         residual=sample.residual,
         sv_gap=report.gap,
         regular=regular,
+        iterations=sample.iterations,
+        restarts=sample.restarts,
     )
 
 
@@ -402,7 +387,10 @@ def numeric_dim(
     dim K_alpha counting 1 per nonzero coordinate and 3 per zero one.
     The common integer is reported only when every sample agrees and
     passes the regularity check rank dmu = 3L - dim isotropy.
+    ``tol`` must be a finite number > 0 and ``rank_tol`` lie in (0, 1).
     """
+    _check_tolerance("residual tolerance", tol, math.inf)
+    _check_tolerance("rank tolerance", rank_tol, 1.0)
     if not membership(target).member:
         raise ValidationError("target spectra lie outside the admissible region")
     stratum = classify(target)

@@ -11,6 +11,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -103,10 +104,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.amplitudes.size
-
-    def tensor_view(self) -> np.ndarray:
-        """The amplitude array reshaped to one axis per qubit."""
-        return self.amplitudes.reshape((2,) * self.num_qubits)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,19 +208,14 @@ class SpectraPoint:
         return cls(tuple(Fraction(v) for v in values))
 
 
-def one_qubit_marginal(amps: np.ndarray, num_qubits: int, l: int) -> np.ndarray:
-    """Unvalidated 2x2 partial trace of an amplitude vector onto qubit l (1-based)."""
-    t = amps.reshape((2,) * num_qubits)
-    other_axes = tuple(i for i in range(num_qubits) if i != l - 1)
-    return np.tensordot(t, t.conj(), axes=(other_axes, other_axes))
-
-
 def reduce_one_qubit(state: PureState, l: int) -> DensityMatrix2:
     """Partial trace onto qubit l (1-based), discarding all other qubits."""
     L = state.num_qubits
     if not 1 <= l <= L:
         raise ValidationError(f"qubit index {l} out of range 1..{L}")
-    return DensityMatrix2(one_qubit_marginal(state.amplitudes, L, l))
+    t = state.amplitudes.reshape((2,) * L)
+    other_axes = tuple(i for i in range(L) if i != l - 1)
+    return DensityMatrix2(np.tensordot(t, t.conj(), axes=(other_axes, other_axes)))
 
 
 def momentum_map(state: PureState) -> MomentumValue:
@@ -270,6 +262,29 @@ def apply_slot_operator(amps: np.ndarray, op: np.ndarray, num_qubits: int, l: in
     t = amps.reshape((2,) * num_qubits)
     out = np.tensordot(op, t, axes=([1], [l - 1]))
     return np.moveaxis(out, 0, l - 1).reshape(-1)
+
+
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _slot_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per slot l: the index with bit l flipped, and +1/-1 for bit l = 0/1 (read-only)."""
+    index = np.arange(2**num_qubits)
+    bit = (1 << (num_qubits - 1 - np.arange(num_qubits)))[:, None]  # slot 1 is the top bit
+    flip, sign = index ^ bit, np.where(index & bit, -1.0, 1.0)
+    flip.flags.writeable = sign.flags.writeable = False
+    return flip, sign
+
+
+def pauli_images(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """(3L, 2^L) array whose row 3(l-1)+k is sigma_k applied at slot l, k = x, y, z.
+
+    sigma_x is a gather, sigma_z a sign multiply, sigma_y = -i sign sigma_x.
+    """
+    flip, sign = _slot_tables(num_qubits)
+    out = np.empty((num_qubits, 3, amps.size), dtype=np.complex128)
+    out[:, 0] = amps[flip]
+    out[:, 1] = -1j * sign * out[:, 0]
+    out[:, 2] = sign * amps
+    return out.reshape(3 * num_qubits, -1)
 
 
 def apply_local_unitary(state: PureState, g: Sequence[np.ndarray]) -> PureState:

@@ -10,7 +10,15 @@ import jsonschema
 import numpy as np
 import pytest
 
-from lupoly import ConvergenceError, InternalInvariantError, dump_state, schemas, stable_state
+from lupoly import (
+    ConvergenceError,
+    InternalInvariantError,
+    SpectraPoint,
+    dump_state,
+    sample_fiber,
+    schemas,
+    stable_state,
+)
 from lupoly import cli, criteria
 from lupoly.qstate import MAX_QUBITS
 
@@ -206,6 +214,43 @@ class TestExitCodes:
         assert code == 3 and "Traceback" in err
 
 
+class TestToleranceFlags:
+    def refused(self, capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_infinite_slack_tolerance_rejected(self, capsys):
+        err = self.refused(capsys, "dim", "--lambda", "0.1,0.2,0.15", "--tol", "inf")
+        assert "expected a finite number in [0, inf), got inf" in err
+
+    def test_nan_rank_tolerance_rejected(self, capsys):
+        err = self.refused(capsys, "stable", "-L", "4", "--rank-tol", "nan")
+        assert "expected a finite number in (0, 1), got nan" in err
+
+    def test_negative_residual_tolerance_rejected(self, capsys):
+        err = self.refused(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15", "--tol", "-1")
+        assert "expected a finite number in (0, inf), got -1" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (("classify", "--lambda", "0.1,0.2,0.15", "--tol", "-1e-9"),
+         ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--tol", "0"),
+         ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--rank-tol", "1"),
+         ("stable", "-L", "4", "--rank-tol", "x")),
+        ids=("negative-slack", "zero-residual", "rank-tol-one", "not-a-number"),
+    )
+    def test_out_of_range_values_rejected(self, capsys, argv):
+        self.refused(capsys, *argv)
+
+    def test_zero_slack_tolerance_accepted(self, capsys):
+        code, doc, _ = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--tol", "0")
+        assert code == 0 and doc["tol"] == 0.0
+
+
 class TestInputRouting:
     def test_fraction_tokens_stay_exact(self, capsys):
         code, doc, _ = run(capsys, "classify", "--lambda", "1/6,1/3,1/3")
@@ -334,6 +379,23 @@ class TestConfigFile:
         )
         assert code == 1
 
+    def test_infinite_tolerance_rejected(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, '{"tol": 1e999}')
+        code, doc, err = run(capsys, "dim", "--lambda", "0.1,0.2,0.15", "--config", cfg)
+        assert code == 1 and doc is None and "'tol'" in err
+
+    @pytest.mark.parametrize("payload", ({"rank_tol": 1.0}, {"tol": -1e-9}, {"tol": 10**400}))
+    def test_out_of_range_tolerance_rejected(self, capsys, tmp_path, payload):
+        cfg = self.config(tmp_path, payload)
+        code, doc, err = run(capsys, "stable", "-L", "4", "--config", cfg)
+        assert code == 1 and doc is None
+        assert f"config key {next(iter(payload))!r}" in err
+
+    def test_zero_residual_tolerance_rejected_by_the_sampler(self, capsys, tmp_path):
+        cfg = self.config(tmp_path, {"tol": 0})
+        code, _, err = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15", "--config", cfg)
+        assert code == 1 and json.loads(err)["error"]["type"] == "ValidationError"
+
     def test_rank_tol_reaches_the_verifier(self, capsys, tmp_path):
         cfg = self.config(tmp_path, {"rank_tol": 1e-3})
         code, doc, _ = run(capsys, "stable", "-L", "4", "--config", cfg)
@@ -365,6 +427,15 @@ class TestSchemas:
         code, doc, _ = run(capsys, *argv)
         assert code == 0
         jsonschema.validate(doc, schemas.load(name))
+
+    def test_estimate_counts_match_the_sampler(self, capsys):
+        argv = ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--samples", "2", "--seed", "3")
+        code, doc, _ = run(capsys, *argv)
+        assert code == 0
+        jsonschema.validate(doc, schemas.load("estimate"))
+        for audit in doc["samples"]:
+            sample = sample_fiber(SpectraPoint((0.1, 0.2, 0.15)), seed=audit["seed"])
+            assert (audit["iterations"], audit["restarts"]) == (sample.iterations, sample.restarts)
 
     def test_state_payload_validates(self, capsys):
         _, doc, _ = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15")

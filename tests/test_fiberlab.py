@@ -23,8 +23,145 @@ from lupoly import (
     stable_state,
 )
 from lupoly import fiberlab
+from lupoly.qstate import apply_slot_operator, pauli_images
+from lupoly.stability import PAULIS
 
 INTERIOR3 = SpectraPoint((0.1, 0.2, 0.15))
+
+
+# --- references: the per-slot tensordot forms the Pauli-image kernel replaced ---
+
+
+def reference_objective_and_grad(amps, L, target, zero_mask):
+    t = amps.reshape((2,) * L)
+    f = 0.0
+    grad = np.zeros_like(amps)
+    for l in range(1, L + 1):
+        axes = tuple(i for i in range(L) if i != l - 1)
+        rho = np.tensordot(t, t.conj(), axes=(axes, axes))
+        a = (rho[0, 0].real - rho[1, 1].real) / 2.0
+        b = rho[0, 1]
+        lam = math.hypot(a, abs(b))
+        if zero_mask[l - 1]:
+            f += lam * lam
+            block = np.array([[a, b], [np.conj(b), -a]], dtype=np.complex128)
+            grad += 2.0 * apply_slot_operator(amps, block, L, l)
+        else:
+            diff = lam - target[l - 1]
+            f += diff * diff
+            if abs(b) == 0.0 and lam - a == 0.0:
+                u = np.array([1.0, 0.0], dtype=np.complex128)
+            else:
+                u = np.array([b, lam - a], dtype=np.complex128)
+                u /= np.linalg.norm(u)
+            grad += 4.0 * diff * apply_slot_operator(amps, np.outer(u, u.conj()), L, l)
+    grad -= np.vdot(amps, grad) * amps
+    return f, grad
+
+
+def reference_dmu_matrix(state, slots=None):
+    L = state.num_qubits
+    chosen = tuple(range(1, L + 1)) if slots is None else tuple(slots)
+    phi_t = state.amplitudes.reshape((2,) * L)
+    frame = fiberlab._tangent_frame(state.amplitudes)
+    rows = []
+    for j in range(frame.shape[1]):
+        for v in (frame[:, j], 1j * frame[:, j]):
+            v_t = v.reshape((2,) * L)
+            row = []
+            for l in chosen:
+                axes = tuple(i for i in range(L) if i != l - 1)
+                m = np.tensordot(v_t, phi_t.conj(), axes=(axes, axes))
+                block = m + m.conj().T
+                for sigma in PAULIS:
+                    row.append(float(np.trace(sigma @ block).real))
+            rows.append(row)
+    return np.array(rows)
+
+
+def ghz_state(L):
+    amps = np.zeros(2**L, dtype=np.complex128)
+    amps[0] = amps[-1] = 1 / math.sqrt(2)
+    return PureState(L, amps)
+
+
+def objective_cases():
+    rng = np.random.default_rng(70)
+    for L in range(1, 8):
+        state = haar_state(L, rng)
+        target = rng.uniform(0.0, 0.5, L)
+        yield f"haar-L{L}", state.amplitudes, target, rng.random(L) < 0.5
+    # a product state: Bloch vectors +z, -z, +z with nonzero targets
+    product = PureState.basis(3, 0b010).amplitudes
+    yield "product", product, np.array([0.1, 0.2, 0.15]), np.zeros(3, dtype=bool)
+    for masked in (False, True):
+        # r = 0 at every slot: rhat defaults to z
+        yield f"ghz-mask-{masked}", ghz_state(4).amplitudes, np.full(4, 0.1), np.full(4, masked)
+
+
+class TestPauliImageKernel:
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_rows_match_slot_operator(self, L):
+        amps = haar_state(L, np.random.default_rng(L)).amplitudes
+        images = pauli_images(amps, L)
+        assert images.shape == (3 * L, 2**L)
+        for l in range(1, L + 1):
+            for k, sigma in enumerate(PAULIS):
+                expected = apply_slot_operator(amps, sigma, L, l)
+                assert np.allclose(images[3 * (l - 1) + k], expected, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("case", list(objective_cases()), ids=lambda c: c[0])
+    def test_objective_matches_reference(self, case):
+        _, amps, target, zero_mask = case
+        L = amps.size.bit_length() - 1
+        f, grad = fiberlab._objective_and_grad(amps, L, target, zero_mask)
+        f_ref, grad_ref = reference_objective_and_grad(amps, L, target, zero_mask)
+        assert f == pytest.approx(f_ref, rel=0, abs=1e-12)
+        assert np.allclose(grad, grad_ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("masked", (False, True))
+    def test_gradient_matches_finite_differences(self, masked):
+        rng = np.random.default_rng(71)
+        L = 4
+        amps = haar_state(L, rng).amplitudes
+        target = np.array([0.1, 0.2, 0.15, 0.05])
+        zero_mask = np.array([masked, False, False, masked])
+        _, grad = fiberlab._objective_and_grad(amps, L, target, zero_mask)
+        h = 1e-6
+        for _ in range(5):
+            d = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
+            d -= np.vdot(amps, d) * amps  # a tangent direction at phi
+            d /= np.linalg.norm(d)
+
+            def f(t):
+                moved = amps + t * d
+                moved /= np.linalg.norm(moved)
+                return fiberlab._objective_and_grad(moved, L, target, zero_mask)[0]
+
+            slope = (f(h) - f(-h)) / (2 * h)
+            assert slope == pytest.approx(np.vdot(grad, d).real, rel=1e-6, abs=1e-9)
+
+    @pytest.mark.parametrize("L", range(1, 8))
+    def test_dmu_matrix_matches_reference(self, L):
+        state = haar_state(L, np.random.default_rng(80 + L))
+        got = momentum_differential_matrix(state)
+        assert got.shape == (2**(L + 1) - 2, 3 * L)
+        assert np.allclose(got, reference_dmu_matrix(state), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L", range(2, 7))
+    def test_dmu_matrix_slots_match_reference(self, L):
+        state = haar_state(L, np.random.default_rng(90 + L))
+        for slots in ((2,), (L, 1)):
+            got = momentum_differential_matrix(state, slots=slots)
+            assert got.shape == (2**(L + 1) - 2, 3 * len(slots))
+            assert np.allclose(got, reference_dmu_matrix(state, slots), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "state", (PureState.basis(4, 0b0110), ghz_state(4)), ids=("product", "ghz")
+    )
+    def test_dmu_matrix_special_states_match_reference(self, state):
+        got = momentum_differential_matrix(state)
+        assert np.allclose(got, reference_dmu_matrix(state), rtol=0, atol=1e-12)
 
 
 class TestSampleFiber:
@@ -76,6 +213,16 @@ class TestSampleFiber:
     def test_outside_target_rejected(self):
         with pytest.raises(ValidationError, match="outside"):
             sample_fiber(SpectraPoint((0.4, 0.0, 0.3)))
+
+    @pytest.mark.parametrize("tol", (-1.0, 0.0, math.nan, math.inf))
+    def test_bad_tolerance_refused_before_sampling(self, tol, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(fiberlab, "_exact_start", no_sampling)
+        monkeypatch.setattr(fiberlab, "haar_state", no_sampling)
+        with pytest.raises(ValidationError, match="residual tolerance"):
+            sample_fiber(INTERIOR3, tol=tol)
 
     def test_gives_up_honestly(self):
         with pytest.raises(ConvergenceError):
@@ -176,6 +323,20 @@ class TestNumericDim:
         with pytest.raises(ValidationError, match="outside"):
             numeric_dim(SpectraPoint((0.4, 0.0, 0.3)))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        ({"tol": 0.0}, {"tol": math.nan}, {"tol": math.inf}, {"rank_tol": 0.0},
+         {"rank_tol": 1.0}, {"rank_tol": -1e-8}, {"rank_tol": math.nan}),
+        ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
+    )
+    def test_bad_tolerances_refused_before_sampling(self, kwargs, monkeypatch):
+        def no_sampling(*args, **kw):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(fiberlab, "sample_fiber", no_sampling)
+        with pytest.raises(ValidationError, match="tolerance must be a finite number"):
+            numeric_dim(INTERIOR3, n_samples=2, **kwargs)
+
     def test_explicit_seeds_must_match_count(self):
         with pytest.raises(ValidationError, match="expected 3 seeds"):
             numeric_dim(INTERIOR3, n_samples=3, seeds=[1, 2])
@@ -188,6 +349,9 @@ class TestNumericDim:
             assert audit.rank_dmu == 9
             assert audit.estimate == 2
             assert audit.residual <= 1e-10
+            sample = sample_fiber(INTERIOR3, seed=audit.seed)
+            assert (audit.iterations, audit.restarts) == (sample.iterations, sample.restarts)
+            assert audit.iterations > 0
 
     def test_document_shapes(self):
         doc = numeric_dim(INTERIOR3, n_samples=2).document()
@@ -196,5 +360,5 @@ class TestNumericDim:
         assert doc["samples"][0]["sv_gap"] is None or doc["samples"][0]["sv_gap"] > 0
 
     def test_audit_document_masks_infinite_gap(self):
-        audit = SampleAudit(0, 9, 0, 2, 1e-12, math.inf, True)
+        audit = SampleAudit(0, 9, 0, 2, 1e-12, math.inf, True, 40, 0)
         assert audit.document()["sv_gap"] is None
