@@ -14,6 +14,7 @@ coordinates fall back to a tolerance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -85,6 +86,8 @@ class MembershipResult:
 
 def membership(point: SpectraPoint, tol: float = MEMBER_TOL) -> MembershipResult:
     """Check the 3L inequalities; slacks below -tol are violations."""
+    if not 0.0 <= tol < math.inf:  # false for NaN too
+        raise ValidationError(f"slack tolerance must be a finite number >= 0, got {tol}")
     model = polytope_model(point.num_qubits)
     bad = []
     for ineq in model.inequalities:

@@ -96,7 +96,13 @@ def _projected_action(op: SlotOperator, state: PureState) -> np.ndarray:
     return w - np.vdot(state.amplitudes, w) * state.amplitudes
 
 
+def _check_tolerance(name: str, value: float, high: float) -> None:
+    if not 0.0 < value < high:  # false for NaN too
+        raise ValidationError(f"{name} must be a finite number in (0, {high:g}), got {value}")
+
+
 def _rank_and_svals(cols: np.ndarray, rank_tol: float) -> tuple[int, np.ndarray, bool]:
+    _check_tolerance("rank tolerance", rank_tol, 1.0)
     svals = np.linalg.svd(cols, compute_uv=False)
     top = svals[0] if svals.size else 0.0
     if top == 0.0:

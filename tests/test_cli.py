@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import numpy as np
@@ -15,6 +16,7 @@ from lupoly import (
     InternalInvariantError,
     SpectraPoint,
     dump_state,
+    random_wall_point,
     sample_fiber,
     schemas,
     stable_state,
@@ -212,6 +214,21 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "vertices", crash)
         code, _, err = run(capsys, "vertices", "-L", "3")
         assert code == 3 and "Traceback" in err
+
+    def test_near_wall_sample_fiber_process(self):
+        # a regular target 1e-7 inside a wall, where descent is worst conditioned
+        lams = list(random_wall_point(3, np.random.default_rng(7)).lambdas)
+        lams[0] += 1e-7
+        argv = [sys.executable, "-m", "lupoly.cli", "sample-fiber",
+                "--lambda", ",".join(repr(x) for x in lams)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        start = time.perf_counter()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        doc = json.loads(proc.stdout)
+        assert doc["method"] == "descent" and doc["residual"] <= 1e-10
+        assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 class TestToleranceFlags:

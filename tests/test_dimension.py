@@ -1,5 +1,7 @@
 """Closed-form reduced-space dimensions across the boundary strata."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,16 @@ class TestContracts:
     def test_nonmember_rejected(self):
         with pytest.raises(ValidationError):
             dim_for_point(SpectraPoint((0.4, 0.0, 0.3)))
+
+    @pytest.mark.parametrize("tol", (math.inf, math.nan, -1e-9))
+    def test_bad_slack_tolerance_refused(self, tol):
+        # an infinite slack tolerance would put every coordinate at 1/2 (dim_M 0)
+        with pytest.raises(ValidationError, match="slack tolerance must be a finite number"):
+            dim_for_point(SpectraPoint((0.1, 0.2, 0.15)), tol=tol)
+
+    def test_zero_slack_tolerance_accepted(self):
+        _, report = dim_for_point(SpectraPoint((0.1, 0.2, 0.15)), tol=0.0)
+        assert report.dim_M == 2
 
     def test_negative_dimension_guarded(self):
         with pytest.raises(InternalInvariantError):

@@ -1,6 +1,7 @@
 """Fiber sampling, the momentum differential, and the sampled dimension estimate."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from lupoly import (
     SampleAudit,
     SpectraPoint,
     ValidationError,
+    classify,
     haar_state,
     membership,
     momentum_differential_matrix,
@@ -18,6 +20,7 @@ from lupoly import (
     numeric_dim,
     orbit_dimensions,
     psi_map,
+    random_wall_point,
     rank_dmu,
     sample_fiber,
     stable_state,
@@ -27,6 +30,14 @@ from lupoly.qstate import apply_slot_operator, pauli_images
 from lupoly.stability import PAULIS
 
 INTERIOR3 = SpectraPoint((0.1, 0.2, 0.15))
+WALL_SLACKS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 2e-9)
+
+
+def near_wall_point(L, slack, seed):
+    """A random_wall_point moved inward off the qubit-1 wall by the slack."""
+    lams = list(random_wall_point(L, np.random.default_rng(seed)).lambdas)
+    lams[0] += slack
+    return SpectraPoint(tuple(lams))
 
 
 # --- references: the per-slot tensordot forms the Pauli-image kernel replaced ---
@@ -114,32 +125,34 @@ class TestPauliImageKernel:
     def test_objective_matches_reference(self, case):
         _, amps, target, zero_mask = case
         L = amps.size.bit_length() - 1
-        f, grad = fiberlab._objective_and_grad(amps, L, target, zero_mask)
+        e, g = fiberlab._residuals_and_jacobian(amps, L, target, zero_mask)
+        assert e.shape == (L + 2 * zero_mask.sum(),) and g.shape == (e.size, 2**L)
         f_ref, grad_ref = reference_objective_and_grad(amps, L, target, zero_mask)
-        assert f == pytest.approx(f_ref, rel=0, abs=1e-12)
-        assert np.allclose(grad, grad_ref, rtol=0, atol=1e-12)
+        assert e @ e == pytest.approx(f_ref, rel=0, abs=1e-12)
+        assert np.allclose(2.0 * e @ g, grad_ref, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("masked", (False, True))
     def test_gradient_matches_finite_differences(self, masked):
+        # each Jacobian row is the tangent gradient of its residual
         rng = np.random.default_rng(71)
         L = 4
         amps = haar_state(L, rng).amplitudes
         target = np.array([0.1, 0.2, 0.15, 0.05])
         zero_mask = np.array([masked, False, False, masked])
-        _, grad = fiberlab._objective_and_grad(amps, L, target, zero_mask)
+        _, g = fiberlab._residuals_and_jacobian(amps, L, target, zero_mask)
         h = 1e-6
         for _ in range(5):
             d = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
             d -= np.vdot(amps, d) * amps  # a tangent direction at phi
             d /= np.linalg.norm(d)
 
-            def f(t):
+            def e(t):
                 moved = amps + t * d
                 moved /= np.linalg.norm(moved)
-                return fiberlab._objective_and_grad(moved, L, target, zero_mask)[0]
+                return fiberlab._residuals_and_jacobian(moved, L, target, zero_mask)[0]
 
-            slope = (f(h) - f(-h)) / (2 * h)
-            assert slope == pytest.approx(np.vdot(grad, d).real, rel=1e-6, abs=1e-9)
+            slopes = (e(h) - e(-h)) / (2 * h)
+            assert np.allclose(slopes, (g.conj() @ d).real, rtol=1e-6, atol=1e-9)
 
     @pytest.mark.parametrize("L", range(1, 8))
     def test_dmu_matrix_matches_reference(self, L):
@@ -229,21 +242,71 @@ class TestSampleFiber:
             sample_fiber(INTERIOR3, seed=0, max_iters=1, max_restarts=0)
 
     def test_failure_reports_best_residual(self, monkeypatch):
-        seen = []
-        spectra_residual = fiberlab._spectra_residual
-
-        def recording(state, target):
-            seen.append(spectra_residual(state, target))
-            return seen[-1]
-
-        monkeypatch.setattr(fiberlab, "_spectra_residual", recording)
+        # three staged attempts of known residual, the best one in the middle
+        target = INTERIOR3.as_array()
+        rng = np.random.default_rng(0)
+        staged = sorted((haar_state(3, rng) for _ in range(3)),
+                        key=lambda s: fiberlab._spectra_residual(s, target))
+        staged = [staged[1], staged[0], staged[2]]
+        residuals = [f"{fiberlab._spectra_residual(s, target):.3e}" for s in staged]
+        attempts = iter(staged)
+        monkeypatch.setattr(fiberlab, "_descend",
+                            lambda *args: (next(attempts).amplitudes, 1.0, 7))
         with pytest.raises(ConvergenceError) as exc:
-            sample_fiber(INTERIOR3, seed=0, max_iters=3, max_restarts=2)
-        assert len(seen) == 3 and min(seen) < seen[-1]
-        assert f"(best residual {min(seen):.3e})" in str(exc.value)
+            sample_fiber(INTERIOR3, seed=0, max_restarts=2)
+        assert next(attempts, None) is None
+        assert len(set(residuals)) == 3
+        assert f"(best residual {residuals[1]})" in str(exc.value)
+
+    @pytest.mark.parametrize("slack", WALL_SLACKS)
+    @pytest.mark.parametrize("L", (3, 4, 5))
+    def test_near_wall_target_reached_fast(self, L, slack):
+        target = near_wall_point(L, slack, seed=[L, WALL_SLACKS.index(slack)])
+        assert classify(target).tight_walls == ()
+        start = time.perf_counter()
+        sample = sample_fiber(target, seed=L)
+        elapsed = time.perf_counter() - start
+        assert sample.method == "descent"
+        off = np.linalg.norm(psi_map(sample.state).as_array() - target.as_array())
+        assert off <= 1e-10 and sample.residual <= 1e-10
+        assert membership(psi_map(sample.state)).member
+        assert elapsed < 1.0, f"{elapsed:.3f} s"
+
+    def test_descent_never_raises_the_objective(self):
+        # near a product state the Jacobian is tiny and an undamped step overshoots
+        rng = np.random.default_rng(0)
+        target = INTERIOR3.as_array()
+        for _ in range(20):
+            start = PureState.basis(3, 0).amplitudes + 1e-3 * (
+                rng.normal(size=8) + 1j * rng.normal(size=8))
+            start /= np.linalg.norm(start)
+            objectives = [
+                fiberlab._descend(start.copy(), 3, target, np.zeros(3, dtype=bool), 1e-10, n)[1]
+                for n in range(8)
+            ]
+            assert objectives == sorted(objectives, reverse=True)
+
+    def test_failing_call_ends_fast(self, monkeypatch):
+        # residuals that shrink on every evaluation but never reach tol: each
+        # attempt runs all max_iters steps, so this is the slowest failing call
+        residuals_and_jacobian = fiberlab._residuals_and_jacobian
+        calls = []
+
+        def creeping(amps, L, target, zero_mask):
+            calls.append(None)
+            e, g = residuals_and_jacobian(amps, L, target, zero_mask)
+            return np.abs(e) + 0.5 ** (len(calls) / 200), g
+
+        monkeypatch.setattr(fiberlab, "_residuals_and_jacobian", creeping)
+        start = time.perf_counter()
+        with pytest.raises(ConvergenceError, match="after 5 restarts"):
+            sample_fiber(SpectraPoint((0.1, 0.12, 0.1, 0.13, 0.1, 0.11)), seed=0)
+        elapsed = time.perf_counter() - start
+        assert len(calls) == (fiberlab.MAX_RESTARTS + 1) * (fiberlab.MAX_ITERS + 1)
+        assert elapsed < 1.0, f"{elapsed:.3f} s"
 
     def test_early_stop_counts_iterations_done(self):
-        # a product state is a critical point: its tangent gradient vanishes
+        # a product state is a critical point: its Jacobian rows vanish
         amps = PureState.basis(3, 0).amplitudes.copy()
         _, f, iterations = fiberlab._descend(
             amps, 3, INTERIOR3.as_array(), np.zeros(3, dtype=bool), 1e-10, 500
@@ -262,6 +325,12 @@ class TestMomentumDifferential:
         state = haar_state(2, np.random.default_rng(2))
         with pytest.raises(ValidationError):
             momentum_differential_matrix(state, slots=(3,))
+
+    @pytest.mark.parametrize("rank_tol", (2.0, 1.0, 0.0, math.nan))
+    def test_bad_rank_tolerance_refused(self, rank_tol):
+        # rank_tol = 2 would put the cut above the top singular value (rank 0)
+        with pytest.raises(ValidationError, match="rank tolerance must be a finite number"):
+            rank_dmu(haar_state(3, np.random.default_rng(4)), rank_tol=rank_tol)
 
     def test_rank_at_product_state(self):
         assert rank_dmu(PureState.basis(4, 0)) == 8

@@ -1,5 +1,7 @@
 """Generator bases, orbit/isotropy ranks, and the stable zero-momentum families."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,11 @@ class TestOrbitDimensions:
             assert report.dim_K_orbit + report.dim_isotropy_algebra == 3 * num_qubits
             assert report.dim_K_orbit <= 3 * num_qubits
             assert report.dim_G_orbit_complex <= 3 * num_qubits
+
+    @pytest.mark.parametrize("rank_tol", (0.0, 1.0, 2.0, -1e-8, math.nan, math.inf))
+    def test_bad_rank_tolerance_refused(self, rank_tol):
+        with pytest.raises(ValidationError, match="rank tolerance must be a finite number"):
+            orbit_dimensions(GHZ3, rank_tol=rank_tol)
 
     def test_document_carries_singular_values(self):
         doc = orbit_dimensions(GHZ3).document()
@@ -171,6 +178,12 @@ class TestVerifyStable:
         report = verify_stable(stable_state(5), k1=3)
         assert report.stable
         assert report.k1 == 3 and report.required_rank == 9
+
+    @pytest.mark.parametrize("rank_tol", (math.nan, 0.0, 1.5))
+    def test_bad_rank_tolerance_refused(self, rank_tol):
+        # NaN would fail every singular-value cut (stable False, k1_rank 0)
+        with pytest.raises(ValidationError, match="rank tolerance must be a finite number"):
+            verify_stable(stable_state(4), rank_tol=rank_tol)
 
     def test_k1_bounds(self):
         with pytest.raises(ValidationError):
