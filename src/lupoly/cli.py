@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 import traceback
@@ -433,11 +434,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(doc: dict, args) -> None:
     text = json.dumps(doc, indent=2)
-    print(text)
     output = getattr(args, "output", None)
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout; send the interpreter's exit flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _fail(code: int, exc: Exception) -> int:
@@ -460,7 +465,10 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # noqa: BLE001 -- anything else is a bug in here
         traceback.print_exc()
         return _fail(3, exc)
-    _emit(doc, args)
+    try:
+        _emit(doc, args)
+    except OSError as exc:  # the -o file cannot be written
+        return _fail(1, exc)
     return code
 
 

@@ -25,6 +25,7 @@ from .polytope import (
     vertices_oracle,
 )
 from .qstate import (
+    MAX_QUBITS,
     SpectraPoint,
     apply_local_unitary,
     haar_state,
@@ -136,12 +137,18 @@ def _oracle_agreement(samples: int, seed: int) -> str:
     rng = np.random.default_rng(seed)
     cases = [(random_interior_point(L, rng), None) for L in (3, 4, 5) for _ in range(samples)]
     cases += [(SpectraPoint(lams), want) for lams, want in (((0.1, 0.1, 0.1), 2),) + ZERO_CHAIN]
+    for L in range(6, MAX_QUBITS + 1):
+        point = random_interior_point(L, rng)
+        cases += [(point, None), (SpectraPoint((0.0, 0.0) + point.lambdas[2:]), None)]
     for target, want in cases:
         closed = dim_for_point(target)[1].dim_M
         est = numeric_dim(target, n_samples=samples, rank_tol=1e-8)
         agree = est.status == "ok" and est.dim_estimate == closed and want in (None, closed)
         _check(agree, "numeric dim", closed=closed, want=want, estimate=est.document())
-    return f"{samples} interior targets/L=3,4,5, (0.1,0.1,0.1), zero chain; {samples} samples each"
+    return (
+        f"{samples} interior targets/L=3,4,5, (0.1,0.1,0.1), zero chain, one interior and "
+        f"its two-zero twin/L=6..{MAX_QUBITS}; {samples} samples each"
+    )
 
 
 def _stable_families(samples: int, seed: int) -> str:

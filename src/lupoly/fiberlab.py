@@ -7,7 +7,8 @@ two can be compared honestly:
   prescribed admissible target, by damped Gauss-Newton steps on the
   spectra residuals over the unit sphere (with exact constructions for
   product, Schmidt, and tight-wall targets, where no descent is needed).
-* ``rank_dmu``: numerical rank of the momentum differential at a state.
+* ``rank_dmu``: numerical rank of the momentum differential at a state,
+  whose matrix is the residual Jacobian with every qubit masked.
 * ``numeric_dim``: assembles per-sample estimates
   (dim P(H) - rank dmu) - (dim K_alpha - dim isotropy) and reports the
   common value only when every sample agrees and looks regular.
@@ -227,34 +228,19 @@ def sample_fiber(
 # --- momentum differential ---------------------------------------------------
 
 
-def _tangent_frame(amps: np.ndarray) -> np.ndarray:
-    """Orthonormal complex basis of the orthogonal complement of amps."""
-    n = amps.size
-    a = np.eye(n, dtype=np.complex128)
-    a[:, 0] = amps
-    q, _ = np.linalg.qr(a)
-    return q[:, 1:]
+def momentum_differential_matrix(state: PureState) -> np.ndarray:
+    """Real matrix of the momentum differential at the state, shape (2^{L+1}, 3L).
 
-
-def momentum_differential_matrix(state: PureState, slots: Sequence[int] | None = None) -> np.ndarray:
-    """Real matrix of the momentum differential on the projective tangent space.
-
-    Rows are indexed by a real tangent frame (w_j and i*w_j for a
-    complex orthonormal frame of phi-perp, 2^{L+1} - 2 rows), columns
-    by Pauli coefficients of the selected one-qubit blocks.
+    It is the residual Jacobian with every qubit masked, whose residuals
+    r_l/2 are the momentum map: column 3(l-1)+k is 2 [Re P; Im P] for P the
+    image sigma_k@l phi projected off phi, so its real pairing with
+    (Re v, Im v) is 2 Re<P, v>.  Every column is real-orthogonal to phi and
+    i*phi, so rank and nonzero singular values are those of dmu on the
+    projective tangent space, with no tangent frame built.
     """
     L = state.num_qubits
-    chosen = tuple(range(1, L + 1)) if slots is None else tuple(slots)
-    for l in chosen:
-        if not 1 <= l <= L:
-            raise ValidationError(f"slot {l} out of range 1..{L}")
-    # entry 2 Re<sigma phi, v> for v = w_j (even rows) and v = i w_j (odd rows)
-    rows = [3 * (l - 1) + k for l in chosen for k in range(3)]
-    images = pauli_images(state.amplitudes, L)[rows]
-    overlaps = (images.conj() @ _tangent_frame(state.amplitudes)).T
-    matrix = np.empty((2 * overlaps.shape[0], len(rows)))
-    matrix[0::2], matrix[1::2] = 2.0 * overlaps.real, -2.0 * overlaps.imag
-    return matrix
+    _, rows = _residuals_and_jacobian(state.amplitudes, L, np.zeros(L), np.ones(L, dtype=bool))
+    return 2.0 * np.concatenate([rows.real, rows.imag], axis=1).T
 
 
 @dataclass(frozen=True)
@@ -265,10 +251,8 @@ class DmuReport:
     ill_conditioned: bool
 
 
-def momentum_rank_report(
-    state: PureState, rank_tol: float = RANK_TOL, slots: Sequence[int] | None = None
-) -> DmuReport:
-    matrix = momentum_differential_matrix(state, slots=slots)
+def momentum_rank_report(state: PureState, rank_tol: float = RANK_TOL) -> DmuReport:
+    matrix = momentum_differential_matrix(state)
     rank, svals, shaky = _rank_and_svals(matrix, rank_tol)
     kept = svals[rank - 1] if rank > 0 else math.inf
     dropped = svals[rank] if rank < svals.size else 0.0
@@ -276,10 +260,9 @@ def momentum_rank_report(
     return DmuReport(rank, tuple(float(s) for s in svals), gap, shaky)
 
 
-def rank_dmu(state: PureState, rank_tol: float = RANK_TOL,
-             slots: Sequence[int] | None = None) -> int:
+def rank_dmu(state: PureState, rank_tol: float = RANK_TOL) -> int:
     """Numerical real rank of the momentum differential at the state."""
-    return momentum_rank_report(state, rank_tol=rank_tol, slots=slots).rank
+    return momentum_rank_report(state, rank_tol=rank_tol).rank
 
 
 # --- dimension estimate ------------------------------------------------------

@@ -66,9 +66,6 @@ class PolytopeModel:
     num_qubits: int
     inequalities: tuple
 
-    def by_kind(self, kind: str) -> tuple:
-        return tuple(q for q in self.inequalities if q.kind == kind)
-
 
 def polytope_model(num_qubits: int) -> PolytopeModel:
     check_qubit_count(num_qubits, 1, "polytope_model")
@@ -119,10 +116,6 @@ class StratumClass:
     tol: float = 0.0
     trail: tuple = ()
     violations: tuple = ()
-
-    @classmethod
-    def non_member(cls, point: SpectraPoint, result: MembershipResult) -> "StratumClass":
-        return cls(member=False, num_qubits=point.num_qubits, violations=result.violations)
 
 
 def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:

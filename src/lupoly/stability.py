@@ -53,9 +53,6 @@ class GeneratorSet:
     compact: tuple  # i*sigma_{x,y,z} per slot, slot-major
     complexified: tuple  # E12, E21, H per slot, slot-major
 
-    def compact_for_slots(self, max_slot: int) -> tuple:
-        return tuple(op for op in self.compact if op.slot <= max_slot)
-
 
 def generator_set(num_qubits: int) -> GeneratorSet:
     check_qubit_count(num_qubits, 1, "generator_set")
@@ -96,6 +93,13 @@ def _projected_action(op: SlotOperator, state: PureState) -> np.ndarray:
     return w - np.vdot(state.amplitudes, w) * state.amplitudes
 
 
+def _compact_columns(state: PureState) -> np.ndarray:
+    """Real columns [Re; Im] of the projected i*sigma actions, slot-major."""
+    gens = generator_set(state.num_qubits).compact
+    actions = (_projected_action(op, state) for op in gens)
+    return np.stack([np.concatenate([w.real, w.imag]) for w in actions], axis=1)
+
+
 def _check_tolerance(name: str, value: float, high: float) -> None:
     if not 0.0 < value < high:  # false for NaN too
         raise ValidationError(f"{name} must be a finite number in (0, {high:g}), got {value}")
@@ -122,17 +126,10 @@ def orbit_dimensions(state: PureState, rank_tol: float = RANK_TOL) -> OrbitRepor
     isotropy algebra.  Ranks are singular-value counts above
     rank_tol times the top singular value.
     """
-    gens = generator_set(state.num_qubits)
-    compact_cols = np.stack(
-        [
-            np.concatenate([w.real, w.imag])
-            for w in (_projected_action(op, state) for op in gens.compact)
-        ],
-        axis=1,
-    )
-    k_rank, k_svals, k_shaky = _rank_and_svals(compact_cols, rank_tol)
+    k_rank, k_svals, k_shaky = _rank_and_svals(_compact_columns(state), rank_tol)
     complex_cols = np.stack(
-        [_projected_action(op, state) for op in gens.complexified], axis=1
+        [_projected_action(op, state) for op in generator_set(state.num_qubits).complexified],
+        axis=1,
     )
     g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols, rank_tol)
     return OrbitReport(
@@ -235,15 +232,7 @@ def verify_stable(
         dev = max(dev, float(np.abs(rho - half_eye).max()))
     reductions_ok = dev <= REDUCTION_TOL
 
-    gens = generator_set(L).compact_for_slots(k1)
-    cols = np.stack(
-        [
-            np.concatenate([w.real, w.imag])
-            for w in (_projected_action(op, state) for op in gens)
-        ],
-        axis=1,
-    )
-    k1_rank, _, _ = _rank_and_svals(cols, rank_tol)
+    k1_rank, _, _ = _rank_and_svals(_compact_columns(state)[:, : 3 * k1], rank_tol)
 
     orbit = orbit_dimensions(state, rank_tol=rank_tol)
     return StabilityReport(

@@ -230,6 +230,20 @@ class TestExitCodes:
         assert doc["method"] == "descent" and doc["residual"] <= 1e-10
         assert elapsed < 2.0, f"{elapsed:.2f} s"
 
+    def test_closed_stdout_pipe(self, tmp_path):
+        # 455 kB of JSON overfills the pipe buffer, so the writer sees the reader go
+        out = tmp_path / "vertices.json"
+        argv = [sys.executable, "-m", "lupoly.cli", "vertices", "-L", "10", "-o", str(out)]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(10) == b'{\n  "num_q'
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0, err
+        assert err == b""
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["num_qubits"] == 10 and len(doc["vertices"]) == 2**10 - 10
+
 
 class TestToleranceFlags:
     def refused(self, capsys, *argv):
@@ -342,6 +356,12 @@ class TestInputRouting:
         out = tmp_path / "doc.json"
         _, doc, _ = run(capsys, "dim", "--lambda", "0.1,0.2,0.15", "-o", str(out))
         assert json.loads(out.read_text()) == doc
+
+    def test_unwritable_output_file_exits_one(self, capsys, tmp_path):
+        out = tmp_path / "missing" / "doc.json"
+        code, out_text, err = run(capsys, "dim", "--lambda", "0.1,0.2,0.15", "-o", str(out))
+        assert code == 1 and out_text is None
+        assert json.loads(err)["error"]["type"] == "FileNotFoundError"
 
     def test_stable_state_verification_round_trip(self, capsys, tmp_path):
         path = tmp_path / "stable.json"

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from lupoly import (
     stable_state,
 )
 from lupoly import fiberlab
-from lupoly.qstate import apply_slot_operator, pauli_images
+from lupoly.qstate import MAX_QUBITS, apply_slot_operator, pauli_images
 from lupoly.stability import PAULIS
 
 INTERIOR3 = SpectraPoint((0.1, 0.2, 0.15))
@@ -70,17 +71,25 @@ def reference_objective_and_grad(amps, L, target, zero_mask):
     return f, grad
 
 
-def reference_dmu_matrix(state, slots=None):
+def tangent_frame(amps):
+    """Orthonormal complex basis of the orthogonal complement of amps."""
+    a = np.eye(amps.size, dtype=np.complex128)
+    a[:, 0] = amps
+    q, _ = np.linalg.qr(a)
+    return q[:, 1:]
+
+
+def reference_dmu_matrix(state):
+    """dmu in a real tangent frame: rows w_j and i*w_j, 2^{L+1} - 2 of them."""
     L = state.num_qubits
-    chosen = tuple(range(1, L + 1)) if slots is None else tuple(slots)
     phi_t = state.amplitudes.reshape((2,) * L)
-    frame = fiberlab._tangent_frame(state.amplitudes)
+    frame = tangent_frame(state.amplitudes)
     rows = []
     for j in range(frame.shape[1]):
         for v in (frame[:, j], 1j * frame[:, j]):
             v_t = v.reshape((2,) * L)
             row = []
-            for l in chosen:
+            for l in range(1, L + 1):
                 axes = tuple(i for i in range(L) if i != l - 1)
                 m = np.tensordot(v_t, phi_t.conj(), axes=(axes, axes))
                 block = m + m.conj().T
@@ -88,6 +97,21 @@ def reference_dmu_matrix(state, slots=None):
                     row.append(float(np.trace(sigma @ block).real))
             rows.append(row)
     return np.array(rows)
+
+
+def assert_dmu_matches_reference(state):
+    # the frame is a real isometry onto the complement of phi and i*phi,
+    # so both matrices share their Gram matrix and their singular values
+    L = state.num_qubits
+    got, ref = momentum_differential_matrix(state), reference_dmu_matrix(state)
+    assert got.shape == (2**(L + 1), 3 * L)
+    amps = state.amplitudes
+    for v in (amps, 1j * amps):
+        assert np.allclose(np.concatenate([v.real, v.imag]) @ got, 0.0, rtol=0, atol=1e-12)
+    assert np.allclose(got.T @ got, ref.T @ ref, rtol=0, atol=1e-12)
+    got_s, ref_s = (np.linalg.svd(m, compute_uv=False) for m in (got, ref))
+    assert np.allclose(got_s[:ref_s.size], ref_s, rtol=0, atol=1e-12)
+    assert np.all(got_s[ref_s.size:] <= 1e-12)  # the one extra value at L = 1
 
 
 def ghz_state(L):
@@ -156,25 +180,13 @@ class TestPauliImageKernel:
 
     @pytest.mark.parametrize("L", range(1, 8))
     def test_dmu_matrix_matches_reference(self, L):
-        state = haar_state(L, np.random.default_rng(80 + L))
-        got = momentum_differential_matrix(state)
-        assert got.shape == (2**(L + 1) - 2, 3 * L)
-        assert np.allclose(got, reference_dmu_matrix(state), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("L", range(2, 7))
-    def test_dmu_matrix_slots_match_reference(self, L):
-        state = haar_state(L, np.random.default_rng(90 + L))
-        for slots in ((2,), (L, 1)):
-            got = momentum_differential_matrix(state, slots=slots)
-            assert got.shape == (2**(L + 1) - 2, 3 * len(slots))
-            assert np.allclose(got, reference_dmu_matrix(state, slots), rtol=0, atol=1e-12)
+        assert_dmu_matches_reference(haar_state(L, np.random.default_rng(80 + L)))
 
     @pytest.mark.parametrize(
         "state", (PureState.basis(4, 0b0110), ghz_state(4)), ids=("product", "ghz")
     )
     def test_dmu_matrix_special_states_match_reference(self, state):
-        got = momentum_differential_matrix(state)
-        assert np.allclose(got, reference_dmu_matrix(state), rtol=0, atol=1e-12)
+        assert_dmu_matches_reference(state)
 
 
 class TestSampleFiber:
@@ -318,13 +330,7 @@ class TestSampleFiber:
 class TestMomentumDifferential:
     def test_matrix_shape(self):
         state = haar_state(3, np.random.default_rng(1))
-        assert momentum_differential_matrix(state).shape == (14, 9)
-        assert momentum_differential_matrix(state, slots=(2,)).shape == (14, 3)
-
-    def test_slot_bounds(self):
-        state = haar_state(2, np.random.default_rng(2))
-        with pytest.raises(ValidationError):
-            momentum_differential_matrix(state, slots=(3,))
+        assert momentum_differential_matrix(state).shape == (16, 9)
 
     @pytest.mark.parametrize("rank_tol", (2.0, 1.0, 0.0, math.nan))
     def test_bad_rank_tolerance_refused(self, rank_tol):
@@ -340,6 +346,18 @@ class TestMomentumDifferential:
 
     def test_rank_at_stable_state(self):
         assert rank_dmu(stable_state(5)) == 15
+
+    def test_rank_at_max_qubits(self):
+        # no 2^L x 2^L array: a dense tangent frame alone needs about 1 GiB at L = 12
+        state = haar_state(MAX_QUBITS, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            rank = rank_dmu(state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rank == 3 * MAX_QUBITS
+        assert peak < 32 * 2**20, f"{peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("num_qubits", (2, 3, 4))
     def test_rank_duality(self, num_qubits):

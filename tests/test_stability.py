@@ -52,10 +52,6 @@ class TestGenerators:
             moved = op.apply(zero.amplitudes, 3)
             assert np.allclose(moved, 1j * zero.amplitudes)
 
-    def test_slot_restriction(self):
-        gens = generator_set(5)
-        assert len(gens.compact_for_slots(2)) == 6
-
     def test_qubit_count_bounds(self):
         with pytest.raises(ValidationError):
             generator_set(0)
