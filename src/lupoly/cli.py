@@ -29,6 +29,7 @@ from .qstate import (
     load_state,
     psi_map,
     purity_invariants,
+    read_json,
     state_document,
     state_from_document,
 )
@@ -41,11 +42,10 @@ _EXACT_TOKEN = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; the contract here is exit 1."""
+    """argparse exits 2 on bad flags; the contract here is exit 1 with a JSON error."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+        self.exit(_fail(1, ValidationError(f"{self.format_usage()}{self.prog}: error: {message}")))
 
 
 def _int_from(low: int):
@@ -117,10 +117,7 @@ def _read_state(path: str) -> PureState:
 def _stdin_document() -> dict:
     if sys.stdin.isatty():
         raise ValidationError("no input: pass --lambda, --state, or pipe a JSON document")
-    try:
-        doc = json.load(sys.stdin)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ValidationError(f"stdin is not valid JSON: {exc}") from exc
+    doc = read_json(sys.stdin, "stdin")
     if not isinstance(doc, dict):
         raise ValidationError("stdin JSON must be an object")
     return doc
@@ -164,11 +161,9 @@ def _load_config(path: str | None) -> dict:
         return {}
     try:
         with open(path, encoding="utf-8") as handle:
-            cfg = json.load(handle)
+            cfg = read_json(handle, f"config {path!r}")
     except OSError as exc:
         raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ValidationError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValidationError("config must be a JSON object")
     checks = {"tol": _SLACK_TOL, "rank_tol": _RANK_TOL}

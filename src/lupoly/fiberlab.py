@@ -360,7 +360,7 @@ def numeric_dim(
         momentum differential drops rank there and the estimator would
         be silently wrong.
     n_samples, seeds:
-        Number of independent fiber samples; seeds default to
+        Number of independent fiber samples (at least 1); seeds default to
         0..n_samples-1 and determine the samples completely.
 
     The estimate for each sample is
@@ -372,6 +372,8 @@ def numeric_dim(
     """
     _check_tolerance("residual tolerance", tol, math.inf)
     _check_tolerance("rank tolerance", rank_tol, 1.0)
+    if n_samples < 1:
+        raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
     if not membership(target).member:
         raise ValidationError("target spectra lie outside the admissible region")
     stratum = classify(target)
@@ -394,9 +396,7 @@ def numeric_dim(
 
     estimates = {a.estimate for a in audits}
     regular = all(a.regular for a in audits)
-    agreement = max(
-        (sum(1 for a in audits if a.estimate == e) for e in estimates), default=0
-    )
+    agreement = max(sum(1 for a in audits if a.estimate == e) for e in estimates)
     if regular and len(estimates) == 1:
         value = estimates.pop()
         return NumericDimEstimate(target, value, "ok", True, dim_k_alpha, tuple(audits), agreement)

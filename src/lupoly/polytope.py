@@ -340,7 +340,7 @@ def facets(num_qubits: int) -> tuple:
 def random_interior_point(num_qubits: int, rng, margin: float = 0.02) -> SpectraPoint:
     """Rejection-sample a point with all 3L slacks at least ``margin``."""
     L = num_qubits
-    check_qubit_count(L, 2, "interior sampling")
+    check_qubit_count(L, 3, "interior sampling")  # at L = 2 the region is a segment
     if not 0.0 < margin < 0.1:
         raise ValidationError("margin must sit in (0, 0.1)")
     wall_rhs = 0.5 * (L - 2)

@@ -139,33 +139,6 @@ class DensityMatrix2:
         return np.asarray(self.matrix) - np.eye(2) / 2.0
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumValue:
-    """Collection of traceless parts rho_l - I/2, one block per qubit."""
-
-    blocks: tuple
-
-    def __post_init__(self) -> None:
-        blocks = tuple(np.asarray(b, dtype=np.complex128) for b in self.blocks)
-        for b in blocks:
-            if b.shape != (2, 2):
-                raise ValidationError("momentum blocks must be 2x2")
-            if np.abs(b - b.conj().T).max() > MATRIX_TOL:
-                raise ValidationError("momentum block is not Hermitian within tolerance")
-            if abs(b[0, 0].real + b[1, 1].real) > MATRIX_TOL:
-                raise ValidationError("momentum block is not traceless within tolerance")
-            b.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.blocks)
-
-    def block(self, l: int) -> np.ndarray:
-        """Block for qubit l (1-based)."""
-        return self.blocks[l - 1]
-
-
 def _is_exact(value) -> bool:
     return isinstance(value, Rational)
 
@@ -218,11 +191,11 @@ def reduce_one_qubit(state: PureState, l: int) -> DensityMatrix2:
     return DensityMatrix2(np.tensordot(t, t.conj(), axes=(other_axes, other_axes)))
 
 
-def momentum_map(state: PureState) -> MomentumValue:
-    """Traceless Hermitian blocks rho_l - I/2 for l = 1..L."""
-    return MomentumValue(
-        tuple(reduce_one_qubit(state, l).shifted() for l in range(1, state.num_qubits + 1))
-    )
+def momentum_map(state: PureState) -> np.ndarray:
+    """Read-only (L, 2, 2) array whose entry l-1 is the traceless Hermitian block rho_l - I/2."""
+    mu = np.stack([reduce_one_qubit(state, l).shifted() for l in range(1, state.num_qubits + 1)])
+    mu.flags.writeable = False
+    return mu
 
 
 def psi_map(state: PureState) -> SpectraPoint:
@@ -258,10 +231,13 @@ def _check_special_unitary(g: np.ndarray) -> None:
 
 
 def apply_slot_operator(amps: np.ndarray, op: np.ndarray, num_qubits: int, l: int) -> np.ndarray:
-    """Apply a single-qubit operator at slot l (1-based) to an amplitude vector."""
+    """Apply a single-qubit operator, or a stack (..., 2, 2) of them, at slot l (1-based).
+
+    Returns the images of the amplitude vector, shape (..., 2^L): one per stacked operator.
+    """
     t = amps.reshape((2,) * num_qubits)
-    out = np.tensordot(op, t, axes=([1], [l - 1]))
-    return np.moveaxis(out, 0, l - 1).reshape(-1)
+    out = np.tensordot(op, t, axes=([-1], [l - 1]))  # (..., 2, other slots)
+    return np.moveaxis(out, op.ndim - 2, op.ndim + l - 3).reshape(op.shape[:-2] + (-1,))
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -330,12 +306,20 @@ def random_local_unitaries(num_qubits: int, rng: np.random.Generator) -> list[np
 # {"L": 3, "amplitudes": [[re, im], ...]} with exactly 2**L entries.
 
 
-def loads_state(text: str, renormalize: bool = False) -> PureState:
+def read_json(source, what: str):
+    """Parse JSON text, or the text of a readable handle; bad input is a ValidationError.
+
+    Covers syntax errors, undecodable bytes, integers past the digit
+    limit, and nesting deep enough to exhaust the recursion limit.
+    """
     try:
-        doc = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise ValidationError(f"state file is not valid JSON: {exc}") from exc
-    return state_from_document(doc, renormalize=renormalize)
+        return json.loads(source if isinstance(source, str) else source.read())
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def loads_state(text: str, renormalize: bool = False) -> PureState:
+    return state_from_document(read_json(text, "state file"), renormalize=renormalize)
 
 
 def state_from_document(doc, renormalize: bool = False) -> PureState:
@@ -362,9 +346,9 @@ def state_from_document(doc, renormalize: bool = False) -> PureState:
 def load_state(path_or_file, renormalize: bool = False) -> PureState:
     """Read a state from a JSON file (path or open text handle)."""
     if hasattr(path_or_file, "read"):
-        return loads_state(path_or_file.read(), renormalize=renormalize)
+        return state_from_document(read_json(path_or_file, "state file"), renormalize=renormalize)
     with open(path_or_file, "r", encoding="utf-8") as fh:
-        return loads_state(fh.read(), renormalize=renormalize)
+        return load_state(fh, renormalize=renormalize)
 
 
 def state_document(state: PureState) -> dict:

@@ -1,8 +1,8 @@
-"""Generator bases of the local groups, orbit and isotropy dimensions
-via numerical rank, and the explicitly stable zero-momentum states.
+"""The local generator table, orbit and isotropy dimensions via
+numerical rank, and the explicitly stable zero-momentum states.
 
-Generators act on a single tensor slot, so they are stored as
-(slot, 2x2 factor) pairs and applied by contraction; the full
+Every generator acts on a single tensor slot, so one table of six 2x2
+factors is applied at each slot by ``apply_slot_operator``; the full
 2^L x 2^L matrices are never formed.
 """
 
@@ -21,49 +21,14 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
 E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
 E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
+# Per slot: i*sigma_{x,y,z} span the compact algebra, E12, E21, H the complexified one.
+GENERATORS = np.stack([1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z, E12, E21, SIGMA_Z])
+GENERATORS.flags.writeable = False
 
 RANK_TOL = 1e-8
 REDUCTION_TOL = 1e-10
 # Singular values within this factor of the threshold are suspicious.
 ILL_CONDITION_BAND = 10.0
-
-
-@dataclass(frozen=True, eq=False)
-class SlotOperator:
-    """A 2x2 factor acting on one tensor slot of an L-qubit register."""
-
-    label: str
-    slot: int  # 1-based
-    factor: np.ndarray
-
-    def apply(self, amplitudes: np.ndarray, num_qubits: int) -> np.ndarray:
-        return apply_slot_operator(amplitudes, self.factor, num_qubits, self.slot)
-
-
-def factor_inner(a: np.ndarray, b: np.ndarray) -> float:
-    """Invariant pairing <A|B> = -1/2 tr(AB) on single-qubit factors."""
-    return float((-0.5 * np.trace(a @ b)).real)
-
-
-@dataclass(frozen=True, eq=False)
-class GeneratorSet:
-    """Ordered compact and complexified generator bases for L qubits."""
-
-    num_qubits: int
-    compact: tuple  # i*sigma_{x,y,z} per slot, slot-major
-    complexified: tuple  # E12, E21, H per slot, slot-major
-
-
-def generator_set(num_qubits: int) -> GeneratorSet:
-    check_qubit_count(num_qubits, 1, "generator_set")
-    compact = []
-    complexified = []
-    for slot in range(1, num_qubits + 1):
-        for name, factor in zip("xyz", PAULIS):
-            compact.append(SlotOperator(f"i*sigma_{name}@{slot}", slot, 1j * factor))
-        for name, factor in (("E12", E12), ("E21", E21), ("H", SIGMA_Z)):
-            complexified.append(SlotOperator(f"{name}@{slot}", slot, factor))
-    return GeneratorSet(num_qubits, tuple(compact), tuple(complexified))
 
 
 @dataclass(frozen=True)
@@ -88,16 +53,19 @@ class OrbitReport:
         }
 
 
-def _projected_action(op: SlotOperator, state: PureState) -> np.ndarray:
-    w = op.apply(state.amplitudes, state.num_qubits)
-    return w - np.vdot(state.amplitudes, w) * state.amplitudes
+def _generator_actions(state: PureState) -> np.ndarray:
+    """(L, 6, 2^L): entry [l-1, k] is GENERATORS[k] at slot l applied to the state,
+    projected off the complex line through the state."""
+    L, phi = state.num_qubits, state.amplitudes
+    check_qubit_count(L, 1, "the orbit ranks")
+    w = np.stack([apply_slot_operator(phi, GENERATORS, L, l) for l in range(1, L + 1)])
+    return w - (w @ phi.conj())[..., None] * phi
 
 
-def _compact_columns(state: PureState) -> np.ndarray:
-    """Real columns [Re; Im] of the projected i*sigma actions, slot-major."""
-    gens = generator_set(state.num_qubits).compact
-    actions = (_projected_action(op, state) for op in gens)
-    return np.stack([np.concatenate([w.real, w.imag]) for w in actions], axis=1)
+def _real_columns(actions: np.ndarray) -> np.ndarray:
+    """Real columns [Re; Im] of (k, 3, 2^L) actions, slot-major: column 3(l-1)+k."""
+    rows = actions.reshape(-1, actions.shape[-1])
+    return np.concatenate([rows.real, rows.imag], axis=1).T
 
 
 def _check_tolerance(name: str, value: float, high: float) -> None:
@@ -126,11 +94,9 @@ def orbit_dimensions(state: PureState, rank_tol: float = RANK_TOL) -> OrbitRepor
     isotropy algebra.  Ranks are singular-value counts above
     rank_tol times the top singular value.
     """
-    k_rank, k_svals, k_shaky = _rank_and_svals(_compact_columns(state), rank_tol)
-    complex_cols = np.stack(
-        [_projected_action(op, state) for op in generator_set(state.num_qubits).complexified],
-        axis=1,
-    )
+    actions = _generator_actions(state)
+    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3]), rank_tol)
+    complex_cols = actions[:, 3:].reshape(-1, state.dim).T
     g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols, rank_tol)
     return OrbitReport(
         dim_K_orbit=k_rank,
@@ -232,7 +198,8 @@ def verify_stable(
         dev = max(dev, float(np.abs(rho - half_eye).max()))
     reductions_ok = dev <= REDUCTION_TOL
 
-    k1_rank, _, _ = _rank_and_svals(_compact_columns(state)[:, : 3 * k1], rank_tol)
+    k1_actions = _generator_actions(state)[:k1, :3]
+    k1_rank, _, _ = _rank_and_svals(_real_columns(k1_actions), rank_tol)
 
     orbit = orbit_dimensions(state, rank_tol=rank_tol)
     return StabilityReport(

@@ -21,10 +21,6 @@ from .errors import ValidationError
 from .polytope import HALF, membership
 from .qstate import PureState, SpectraPoint, check_qubit_count
 
-# A state must sit inside the claimed eigenspace this tightly.
-PROJECTION_TOL = 1e-10
-# Arithmetic tolerance of the wall-condition equation.
-CONDITION_TOL = 1e-9
 # How tightly alpha must satisfy the wall equality.
 WALL_TOL = 1e-9
 
@@ -66,19 +62,13 @@ def build_wall_operator(num_qubits: int, distinguished: int = 1) -> WallOperator
 
 @dataclass(frozen=True)
 class WeightSubspaceBasis:
-    """Computational kets spanning a fixed-pattern subspace.
-
-    ``kind`` is "zero-pattern" for the span of kets with exactly k
-    qubits in |0> and "eigenspace" for an eigenspace of the wall
-    operator; in the latter case ``eigenvalue`` is set.
-    """
+    """Computational kets spanning an eigenspace of the wall operator."""
 
     num_qubits: int
     k: int
-    kind: str
     kets: tuple  # basis-state indices, listed deterministically
-    distinguished: int | None = None
-    eigenvalue: int | None = None
+    distinguished: int
+    eigenvalue: int
 
     @property
     def dim(self) -> int:
@@ -86,20 +76,6 @@ class WeightSubspaceBasis:
 
     def bitstrings(self) -> tuple:
         return tuple(format(i, f"0{self.num_qubits}b") for i in self.kets)
-
-
-def zero_pattern_basis(num_qubits: int, k: int) -> WeightSubspaceBasis:
-    """Span of all kets with exactly k qubits in |0> (dimension C(L,k))."""
-    L = num_qubits
-    check_qubit_count(L, 1, "zero_pattern_basis")
-    if not 0 <= k <= L:
-        raise ValidationError(f"k={k} out of range 0..{L}")
-    full = 2**L - 1
-    kets = sorted(
-        full - sum(1 << (L - l) for l in zeros)
-        for zeros in combinations(range(1, L + 1), k)
-    )
-    return WeightSubspaceBasis(L, k, "zero-pattern", tuple(kets))
 
 
 def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightSubspaceBasis:
@@ -134,54 +110,7 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     if k >= 1:
         kets.extend(kets_with_zeros(k - 1, d_bit=1))
     kets.extend(kets_with_zeros(k, d_bit=0))
-    return WeightSubspaceBasis(
-        L, k, "eigenspace", tuple(kets), distinguished=d, eigenvalue=-L + 2 * k
-    )
-
-
-@dataclass(frozen=True)
-class WallConditionReport:
-    holds: bool
-    lhs: float
-    rhs: float
-    degenerate: bool
-    note: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
-
-
-def check_wall_condition(
-    state: PureState,
-    k: int,
-    distinguished: int = 1,
-    projection_tol: float = PROJECTION_TOL,
-    tol: float = CONDITION_TOL,
-) -> WallConditionReport:
-    """Evaluate (L-k-1) * ||phi||^2 = L-2 for a state in the k-th eigenspace.
-
-    The equation is taken at face value.  When L-k-1 = 0 the left side
-    vanishes identically, so the condition holds exactly when L = 2;
-    this degenerate branch is flagged in the report.
-    """
-    L = state.num_qubits
-    basis = eigenspace_basis(L, k, distinguished)
-    inside = np.zeros(state.dim, dtype=bool)
-    inside[list(basis.kets)] = True
-    residual = float(np.linalg.norm(state.amplitudes[~inside]))
-    if residual > projection_tol:
-        raise ValidationError(
-            f"state is not in the eigenvalue-{basis.eigenvalue} eigenspace "
-            f"(projection residual {residual:.3e} > {projection_tol:g})"
-        )
-    norm_sq = float(np.vdot(state.amplitudes, state.amplitudes).real)
-    lhs = (L - k - 1) * norm_sq
-    rhs = float(L - 2)
-    if L - k - 1 == 0:
-        holds = abs(rhs) <= tol
-        note = "degenerate branch: left side vanishes identically, condition holds iff L = 2"
-        return WallConditionReport(holds, lhs, rhs, True, note)
-    return WallConditionReport(abs(lhs - rhs) <= tol, lhs, rhs, False)
+    return WeightSubspaceBasis(L, k, tuple(kets), distinguished=d, eigenvalue=-L + 2 * k)
 
 
 def _wall_deviation(lams: tuple, d: int):

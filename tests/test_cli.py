@@ -6,10 +6,14 @@ import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lupoly import (
     ConvergenceError,
@@ -93,7 +97,8 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as exc:
             cli.main(["dim", "--bogus"])
         assert exc.value.code == 1
-        assert "usage" in capsys.readouterr().err
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ValidationError" and "usage" in error["message"]
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -165,6 +170,29 @@ class TestExitCodes:
         code, _, err = run(capsys, "psi", "--state", "-", stdin=stdin, monkeypatch=monkeypatch)
         assert code == 1 and json.loads(err)["error"]["type"] == "ValidationError"
 
+    @pytest.mark.parametrize("flag", ("--state", "--config"))
+    @pytest.mark.parametrize(
+        "payload", (b"[" * 100000, b"\xff\xfe{}"), ids=("deep-nesting", "invalid-utf8")
+    )
+    def test_unreadable_json_file(self, capsys, tmp_path, flag, payload):
+        path = tmp_path / "input.json"
+        path.write_bytes(payload)
+        argv = ["dim", "--lambda", "0.1,0.2,0.15"] if flag == "--config" else ["psi"]
+        code, doc, err = run(capsys, *argv, flag, str(path))
+        assert code == 1 and doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and "not valid JSON" in error["message"]
+
+    @pytest.mark.parametrize(
+        "payload", (b"[" * 100000, b"\xff\xfe{}"), ids=("deep-nesting", "invalid-utf8")
+    )
+    def test_unreadable_stdin_process(self, payload):
+        argv = [sys.executable, "-m", "lupoly.cli", "dim"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        proc = subprocess.run(argv, input=payload, capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 1 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"]["type"] == "ValidationError"
+
     def test_state_file_integer_past_digit_limit(self, capsys, tmp_path):
         path = tmp_path / "huge.json"
         path.write_text('{"L": 1, "amplitudes": [[' + "1" * 5000 + ", 0], [0, 0]]}")
@@ -235,11 +263,11 @@ class TestExitCodes:
         out = tmp_path / "vertices.json"
         argv = [sys.executable, "-m", "lupoly.cli", "vertices", "-L", "10", "-o", str(out)]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-        proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.read(10) == b'{\n  "num_q'
-        proc.stdout.close()
-        err = proc.stderr.read()
-        assert proc.wait(timeout=60) == 0, err
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(10) == b'{\n  "num_q'
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 0, err
         assert err == b""
         doc = json.loads(out.read_text(encoding="utf-8"))
         assert doc["num_qubits"] == 10 and len(doc["vertices"]) == 2**10 - 10
@@ -526,3 +554,123 @@ class TestSelftest:
         assert proc.returncode == 2, proc.stderr
         failed = [c["id"] for c in json.loads(proc.stdout)["criteria"] if not c["passed"]]
         assert {1, 2, 5} <= set(failed)
+
+
+# --- fuzzing: argv from the real subcommands and flags, optional stdin --------
+
+FUZZ_TOKENS = ("nan", "inf", "-inf", "1e400", "1/3", "1/6", "1/0", "0.1", "0.5", "zebra", "",
+               "-", "--") + tuple(str(i) for i in range(-1, 15))
+FUZZ_COORDS = ("0", "0.1", "0.15", "0.2", "1/6", "1/3", "1/2", "0.5", "-0.1", "nan", "inf",
+               "1e400", "1/0", "zebra")
+FUZZ_STDIN = (
+    b"[" * 100000,
+    b'{"lambdas": ' + b"[" * 100000,
+    b"\xff\xfe{}",
+    b'{"lambdas": [0.1, 0.2, 0.15]}',
+    b'{"lambdas": [[[0.1]], {"a": 1}, null]}',
+    b'{"lambdas": []}',
+    b'{"L": 13, "amplitudes": []}',
+    b'{"L": 1, "amplitudes": [[1, 0], [0, 0]]}',
+    b'{"state": {"L": 2, "amplitudes": [[1, 0], [0, 0], [0, 0], [1e400, 0]]}}',
+    b'{"lambdas": [' + b"1" * 5000 + b"]}",
+    b"null",
+    b"",
+)
+
+
+def subcommand_flags():
+    """Option strings per subcommand except selftest, and the options that take no value."""
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    flags = {
+        name: sorted(opt for action in sub._actions for opt in action.option_strings)
+        for name, sub in commands.items()
+        if name != "selftest"
+    }
+    switches = {
+        opt
+        for sub in commands.values()
+        for action in sub._actions
+        if action.nargs == 0
+        for opt in action.option_strings
+    }
+    return flags, switches
+
+
+FUZZ_FLAGS, FUZZ_SWITCHES = subcommand_flags()
+
+
+@st.composite
+def fuzz_argv(draw, files):
+    name = draw(st.sampled_from(sorted(FUZZ_FLAGS)))
+    tokens = st.sampled_from(FUZZ_TOKENS)
+    coords = st.lists(st.sampled_from(FUZZ_COORDS), min_size=1, max_size=5).map(",".join)
+    paths = st.sampled_from(files + ["-"])
+    argv = [name]
+    for flag in draw(st.lists(st.sampled_from(FUZZ_FLAGS[name]), max_size=4, unique=True)):
+        argv.append(flag)
+        if flag == "--lambda":
+            argv.append(draw(st.one_of(coords, tokens)))
+        elif flag in ("--state", "--config", "-o", "--output"):
+            argv.append(draw(st.one_of(paths, tokens)))
+        elif flag not in FUZZ_SWITCHES:
+            argv.append(draw(tokens))
+    if draw(st.integers(0, 3)) == 0:  # a stray token anywhere
+        argv.insert(draw(st.integers(0, len(argv))), draw(tokens))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """State and config files, good and bad, plus paths that cannot be read or written."""
+    root = tmp_path_factory.mktemp("fuzz")
+    dump_state(stable_state(4), root / "stable.json")
+    contents = {
+        "config.json": b'{"tol": 1e-6, "rank_tol": 1e-3}',
+        "bad-config.json": b'{"rank_tol": 2}',
+        "deep.json": b"[" * 100000,
+        "binary.json": b"\xff\xfe{}",
+    }
+    for name, data in contents.items():
+        (root / name).write_bytes(data)
+    names = ["stable.json", *contents, "missing.json", "no/out.json"]
+    return root, [str(root / name) for name in names] + [str(root)]
+
+
+class TestFuzz:
+    @staticmethod
+    def slow(argv):
+        # the brute-force vertex oracle takes about 9 s at L = 6 and minutes at L = 8
+        return "--oracle" in argv and any(t.isdigit() and int(t) >= 6 for t in argv)
+
+    def test_main_exits_with_a_contract_code(self, fuzz_files, monkeypatch):
+        root, files = fuzz_files
+        monkeypatch.chdir(root)  # so that a bare -o token writes into the fixture's directory
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(argv=fuzz_argv(files), stdin=st.one_of(st.none(), st.sampled_from(FUZZ_STDIN)))
+        def check(argv, stdin):
+            assume(not self.slow(argv))
+            if stdin is None:
+                source = FakeTty()
+            else:
+                source = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+            out, err = io.StringIO(), io.StringIO()
+            with (
+                mock.patch.object(sys, "stdin", source),
+                redirect_stdout(out),
+                redirect_stderr(err),
+            ):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # argparse: usage errors and --help
+                    code = exc.code
+            assert code in (0, 1, 2), (argv, stdin, err.getvalue())
+            if code == 0:
+                return
+            if err.getvalue():
+                assert "error" in json.loads(err.getvalue()), (argv, err.getvalue())
+            else:  # a numerical-failure result document
+                assert code == 2 and json.loads(out.getvalue()), argv
+
+        check()

@@ -427,6 +427,8 @@ class TestNumericDim:
     def test_explicit_seeds_must_match_count(self):
         with pytest.raises(ValidationError, match="expected 3 seeds"):
             numeric_dim(INTERIOR3, n_samples=3, seeds=[1, 2])
+        with pytest.raises(ValidationError, match="n_samples must be at least 1, got 0"):
+            numeric_dim(INTERIOR3, n_samples=0)
 
     def test_sample_audits_recorded(self):
         estimate = numeric_dim(INTERIOR3, n_samples=2, seeds=[7, 9])

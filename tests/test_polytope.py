@@ -254,3 +254,6 @@ class TestSamplers:
         rng = np.random.default_rng(17)
         with pytest.raises(ValidationError):
             random_interior_point(3, rng, margin=0.5)
+        # the two-qubit region is the segment lambda_1 = lambda_2: no interior
+        with pytest.raises(ValidationError, match="3..12 qubits, got 2"):
+            random_interior_point(2, rng)

@@ -79,10 +79,11 @@ class TestReductions:
 
     def test_momentum_blocks_are_shifted_marginals(self):
         mu = momentum_map(W3)
+        assert mu.shape == (3, 2, 2) and not mu.flags.writeable
         for l in (1, 2, 3):
             rho = np.asarray(reduce_one_qubit(W3, l).matrix)
-            assert np.allclose(mu.block(l), rho - np.eye(2) / 2, atol=1e-15)
-            assert abs(np.trace(mu.block(l))) < 1e-14
+            assert np.allclose(mu[l - 1], rho - np.eye(2) / 2, atol=1e-15)
+            assert abs(np.trace(mu[l - 1])) < 1e-14
 
 
 class TestSpectraAndPurity:

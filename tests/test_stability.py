@@ -1,4 +1,4 @@
-"""Generator bases, orbit/isotropy ranks, and the stable zero-momentum families."""
+"""The generator table, orbit/isotropy ranks, and the stable zero-momentum families."""
 
 import math
 
@@ -9,14 +9,23 @@ from lupoly import (
     PureState,
     ValidationError,
     complement_pair_state,
-    generator_set,
     haar_state,
     momentum_map,
     orbit_dimensions,
     stable_state,
     verify_stable,
 )
-from lupoly.stability import factor_inner
+from lupoly.qstate import MAX_QUBITS, apply_slot_operator
+from lupoly.stability import (
+    E12,
+    E21,
+    GENERATORS,
+    PAULIS,
+    SIGMA_Z,
+    _generator_actions,
+    _rank_and_svals,
+    _real_columns,
+)
 
 GHZ3 = PureState.from_amplitudes([np.sqrt(0.5), 0, 0, 0, 0, 0, 0, np.sqrt(0.5)])
 GHZ4 = PureState.from_amplitudes(
@@ -24,39 +33,98 @@ GHZ4 = PureState.from_amplitudes(
 )
 
 
+def reference_columns(state):
+    """Compact and complexified columns from one contraction and projection per generator."""
+    L, phi = state.num_qubits, state.amplitudes
+
+    def projected(factor, slot):
+        w = apply_slot_operator(phi, factor, L, slot)
+        return w - np.vdot(phi, w) * phi
+
+    slots = range(1, L + 1)
+    compact = [projected(1j * sigma, l) for l in slots for sigma in PAULIS]
+    complexified = [projected(f, l) for l in slots for f in (E12, E21, SIGMA_Z)]
+    compact_cols = np.stack([np.concatenate([w.real, w.imag]) for w in compact], axis=1)
+    return compact_cols, np.stack(complexified, axis=1)
+
+
+def reference_states():
+    rng = np.random.default_rng(41)
+    states = [haar_state(L, rng) for L in range(1, 11)]
+    states += [PureState.basis(L, 0) for L in (1, 3, 5)] + [PureState.basis(4, 0b0110), GHZ3, GHZ4]
+    states += [stable_state(L) for L in range(4, 9)]
+    states += [complement_pair_state(4, alpha) for alpha in (1.0, -3.0, 0.0, 1.00000003)]
+    return states
+
+
 class TestGenerators:
     def test_counts_and_slots(self):
-        gens = generator_set(4)
-        assert len(gens.compact) == 12 and len(gens.complexified) == 12
-        assert [op.slot for op in gens.compact] == [1, 1, 1, 2, 2, 2, 3, 3, 3, 4, 4, 4]
-
-    def test_labels(self):
-        gens = generator_set(2)
-        assert gens.compact[0].label == "i*sigma_x@1"
-        assert gens.complexified[5].label == "H@2"
+        assert GENERATORS.shape == (6, 2, 2) and not GENERATORS.flags.writeable
+        actions = _generator_actions(haar_state(4, np.random.default_rng(3)))
+        assert actions.shape == (4, 6, 16)
+        cols = _real_columns(actions[:, :3])
+        assert cols.shape == (32, 12)
+        # column 3(l-1)+k holds the i*sigma_k action at slot l
+        for l in range(1, 5):
+            for k in range(3):
+                want = np.concatenate([actions[l - 1, k].real, actions[l - 1, k].imag])
+                assert np.array_equal(cols[:, 3 * (l - 1) + k], want)
 
     def test_compact_factors_orthonormal(self):
-        gens = generator_set(1)
-        factors = [op.factor for op in gens.compact]
-        for i, a in enumerate(factors):
-            for j, b in enumerate(factors):
+        compact, complexified = GENERATORS[:3], GENERATORS[3:]
+        for i, a in enumerate(compact):
+            for j, b in enumerate(compact):
+                # invariant pairing <A|B> = -1/2 tr(AB)
                 want = 1.0 if i == j else 0.0
-                assert factor_inner(a, b) == pytest.approx(want)
+                assert (-0.5 * np.trace(a @ b)).real == pytest.approx(want)
+        assert np.array_equal(complexified, [E12, E21, SIGMA_Z])
 
     def test_z_generator_fixes_zero_ket(self):
         zero = PureState.basis(3, 0)
-        gens = generator_set(3)
-        for op in gens.compact:
-            if "sigma_z" not in op.label:
-                continue
-            moved = op.apply(zero.amplitudes, 3)
+        for l in range(1, 4):
+            moved = apply_slot_operator(zero.amplitudes, GENERATORS[2], 3, l)
             assert np.allclose(moved, 1j * zero.amplitudes)
+        # a pure phase projects to zero, so i*sigma_z lands in the isotropy algebra
+        assert np.abs(_generator_actions(zero)[:, 2]).max() == 0.0
 
     def test_qubit_count_bounds(self):
-        with pytest.raises(ValidationError):
-            generator_set(0)
-        with pytest.raises(ValidationError):
-            generator_set(13)
+        amps = np.full(2 ** (MAX_QUBITS + 1), 2 ** (-(MAX_QUBITS + 1) / 2), dtype=np.complex128)
+        with pytest.raises(ValidationError, match=f"1..{MAX_QUBITS} qubits, got {MAX_QUBITS + 1}"):
+            orbit_dimensions(PureState(MAX_QUBITS + 1, amps))
+
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_stacked_application_matches_per_factor(self, num_qubits):
+        rng = np.random.default_rng(60 + num_qubits)
+        amps = haar_state(num_qubits, rng).amplitudes
+        stack = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
+        for l in range(1, num_qubits + 1):
+            got = apply_slot_operator(amps, stack, num_qubits, l)
+            assert got.shape == (2, 3, 2**num_qubits)
+            for index in np.ndindex(2, 3):
+                want = apply_slot_operator(amps, stack[index], num_qubits, l)
+                assert np.array_equal(got[index], want)
+            table = apply_slot_operator(amps, GENERATORS, num_qubits, l)
+            for k, factor in enumerate(GENERATORS):
+                assert np.array_equal(table[k], apply_slot_operator(amps, factor, num_qubits, l))
+
+    def test_ranks_match_the_per_generator_reference(self):
+        for state in reference_states():
+            L = state.num_qubits
+            compact_cols, complex_cols = reference_columns(state)
+            k_rank, k_svals, k_shaky = _rank_and_svals(compact_cols, 1e-8)
+            g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols, 1e-8)
+            report = orbit_dimensions(state)
+            assert (report.dim_K_orbit, report.dim_G_orbit_complex) == (k_rank, g_rank)
+            assert report.dim_isotropy_algebra == 3 * L - k_rank
+            assert report.ill_conditioned == (k_shaky or g_shaky)
+            assert np.allclose(report.compact_singular_values, k_svals, rtol=0, atol=1e-12)
+            assert np.allclose(report.complex_singular_values, g_svals, rtol=0, atol=1e-12)
+            for k1 in {1, L // 2 or 1, L}:
+                want, _, _ = _rank_and_svals(compact_cols[:, : 3 * k1], 1e-8)
+                stability = verify_stable(state, k1=k1)
+                assert stability.k1_rank == want
+                assert stability.stable == (stability.reductions_ok and want == 3 * k1)
+                assert stability.orbit == report
 
 
 class TestOrbitDimensions:
@@ -111,7 +179,7 @@ class TestConstructions:
         state = stable_state(num_qubits)
         mu = momentum_map(state)
         for l in range(1, num_qubits + 1):
-            assert np.abs(mu.block(l)).max() < 1e-12
+            assert np.abs(mu[l - 1]).max() < 1e-12
 
     def test_four_qubit_default_weight(self):
         assert np.allclose(stable_state(4).amplitudes, stable_state(4, 2.0).amplitudes)

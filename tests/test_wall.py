@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from lupoly import (
-    PureState,
     SpectraPoint,
     ValidationError,
     build_wall_operator,
-    check_wall_condition,
     complement_pair_state,
     eigenspace_basis,
     psi_map,
@@ -19,16 +17,8 @@ from lupoly import (
     reduce_one_qubit,
     torus_transitivity_check,
     wall_state,
-    zero_pattern_basis,
 )
 from lupoly.qstate import MAX_QUBITS
-
-
-def eigenspace_sample(num_qubits, k, rng, distinguished=1):
-    basis = eigenspace_basis(num_qubits, k, distinguished)
-    amps = np.zeros(2**num_qubits, dtype=np.complex128)
-    amps[list(basis.kets)] = rng.normal(size=basis.dim) + 1j * rng.normal(size=basis.dim)
-    return PureState.from_amplitudes(amps, renormalize=True)
 
 
 class TestOperator:
@@ -100,51 +90,11 @@ class TestEigenspaces:
         assert basis.bitstrings() == ("01",)
         assert basis.eigenvalue == -2
 
-    def test_zero_pattern_counts(self):
-        basis = zero_pattern_basis(3, 2)
-        assert set(basis.bitstrings()) == {"001", "010", "100"}
-        for num_qubits in (2, 4, 6):
-            for k in range(num_qubits + 1):
-                patterns = zero_pattern_basis(num_qubits, k)
-                assert patterns.dim == math.comb(num_qubits, k)
-                assert all(b.count("0") == k for b in patterns.bitstrings())
-
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
             eigenspace_basis(3, 4)
         with pytest.raises(ValidationError):
-            zero_pattern_basis(3, -1)
-
-
-class TestWallCondition:
-    @pytest.mark.parametrize("num_qubits", range(3, 9))
-    def test_holds_exactly_at_k_one(self, num_qubits):
-        rng = np.random.default_rng(100 + num_qubits)
-        for k in range(num_qubits + 1):
-            if num_qubits - k - 1 == 0:
-                continue
-            report = check_wall_condition(eigenspace_sample(num_qubits, k, rng), k)
-            assert report.holds == (k == 1)
-            assert not report.degenerate
-            assert report.lhs == pytest.approx(num_qubits - k - 1)
-
-    def test_degenerate_branch(self):
-        rng = np.random.default_rng(7)
-        two = check_wall_condition(eigenspace_sample(2, 1, rng), 1)
-        assert two.holds and two.degenerate and "L = 2" in two.note
-        four = check_wall_condition(eigenspace_sample(4, 3, rng), 3)
-        assert not four.holds and four.degenerate and four.rhs == 2.0
-
-    def test_report_is_truthy_when_condition_holds(self):
-        rng = np.random.default_rng(8)
-        assert bool(check_wall_condition(eigenspace_sample(5, 1, rng), 1))
-        assert not bool(check_wall_condition(eigenspace_sample(5, 2, rng), 2))
-
-    def test_state_outside_eigenspace_rejected(self):
-        rng = np.random.default_rng(9)
-        state = eigenspace_sample(4, 1, rng)
-        with pytest.raises(ValidationError, match="projection residual"):
-            check_wall_condition(state, 2)
+            eigenspace_basis(3, -1)
 
 
 class TestWallState:
@@ -201,7 +151,6 @@ class TestWallState:
         state = wall_state(alpha, np.zeros(5), distinguished=3)
         support = set(np.flatnonzero(np.abs(state.amplitudes) > 1e-15))
         assert support == set(eigenspace_basis(5, 1, distinguished=3).kets)
-        assert check_wall_condition(state, 1, distinguished=3).holds
 
     def test_two_qubit_diagonal_point(self):
         state = wall_state(SpectraPoint((0.2, 0.2)), np.zeros(2))
@@ -261,7 +210,6 @@ def test_qubit_count_bounded_before_allocation():
         build_wall_operator,
         torus_transitivity_check,
         lambda L: eigenspace_basis(L, 1),
-        lambda L: zero_pattern_basis(L, 1),
         lambda L: complement_pair_state(L, 1.0),
     ):
         with pytest.raises(ValidationError, match=f"..{MAX_QUBITS} qubits, got 30"):
