@@ -191,7 +191,7 @@ def _settings(args, *keys: str) -> dict:
 
 def _stratum_document(stratum) -> dict:
     return {
-        "member": stratum.member,
+        "member": True,  # classify raises on a non-member
         "num_qubits": stratum.num_qubits,
         "k_half": stratum.k_half,
         "half_qubits": list(stratum.half_qubits),

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, ValidationError
+from .errors import InternalInvariantError
 from .polytope import StratumClass, classify
 from .qstate import SpectraPoint
 
@@ -50,8 +50,6 @@ def dim_reduced_space(stratum: StratumClass) -> DimReport:
     0, a tight wall gives 0 unconditionally, and otherwise the interior
     formula applies with a deduction of 2 per zero coordinate.
     """
-    if not stratum.member:
-        raise ValidationError("cannot compute a dimension for a non-member point")
     L = stratum.num_qubits
     res_L = stratum.residual_L
     k_half = stratum.k_half

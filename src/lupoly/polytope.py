@@ -1,11 +1,18 @@
 """The admissible region of shifted marginal spectra and its strata.
 
 For L qubits the region is cut out by 3L inequalities in the
-coordinates lambda_1..lambda_L:
+coordinates lambda_1..lambda_L, the polygon inequalities of Higuchi,
+Sudbery & Szulc (PRL 90, 107902, 2003):
 
 * ``lower`` bounds   lambda_l >= 0,
 * ``upper`` bounds   lambda_l <= 1/2,
 * ``wall`` bounds    (1/2 - lambda_l) <= sum_{j != l} (1/2 - lambda_j).
+
+One function, ``slacks``, evaluates all of them.  It returns the 3L
+slacks in row order: the lower, then the upper, then the wall rows, each
+for qubits 1..L, so row i is inequality ``KINDS[i // L]`` of qubit
+``i % L + 1``.  Membership, strata, facets, the vertex oracle's rows and
+the wall checks of ``wall.wall_state`` are all read off these slacks.
 
 All constraint arithmetic goes through Fraction constants, so points
 with exact rational coordinates are classified exactly; float
@@ -25,11 +32,26 @@ from .qstate import SpectraPoint, check_qubit_count
 
 HALF = Fraction(1, 2)
 
+# Inequality kinds in row order of ``slacks``.
+KINDS = ("lower", "upper", "wall")
+
 # Default slack tolerance for float-valued points.
 MEMBER_TOL = 1e-9
 
-# The exact vertex-enumeration cross-check is meant for small systems.
-MAX_ORACLE_QUBITS = 8
+# The brute-force vertex oracle solves C(3L, L) exact systems, about 7 s at
+# L = 6 and a minute at L = 7; facets only test the closed-form vertices.
+MAX_ORACLE_QUBITS = 6
+MAX_FACET_QUBITS = 8
+
+
+def slacks(lams) -> tuple:
+    """The 3L slacks at ``lams`` (>= 0 inside the region), in row order.
+
+    Rows 0..L-1 are lambda_l, rows L..2L-1 are 1/2 - lambda_l, and rows
+    2L..3L-1 are the wall slacks (L - 2)/2 - sum_j lambda_j + 2 lambda_l.
+    """
+    base = HALF * (len(lams) - 2) - sum(lams)
+    return (*lams, *(HALF - lam for lam in lams), *(base + 2 * lam for lam in lams))
 
 
 @dataclass(frozen=True)
@@ -38,16 +60,6 @@ class Inequality:
 
     kind: str  # "lower" | "upper" | "wall"
     qubit: int  # 1-based distinguished index
-
-    def slack(self, lams: tuple) -> object:
-        """Slack of the inequality at the given coordinates (>= 0 inside)."""
-        lam = lams[self.qubit - 1]
-        if self.kind == "lower":
-            return lam
-        if self.kind == "upper":
-            return HALF - lam
-        total = sum(lams)
-        return HALF * (len(lams) - 2) - total + 2 * lam
 
     @property
     def equality(self) -> str:
@@ -60,22 +72,6 @@ class Inequality:
 
 
 @dataclass(frozen=True)
-class PolytopeModel:
-    """The 3L-inequality model for a fixed qubit count."""
-
-    num_qubits: int
-    inequalities: tuple
-
-
-def polytope_model(num_qubits: int) -> PolytopeModel:
-    check_qubit_count(num_qubits, 1, "polytope_model")
-    ineqs = []
-    for kind in ("lower", "upper", "wall"):
-        ineqs.extend(Inequality(kind, l) for l in range(1, num_qubits + 1))
-    return PolytopeModel(num_qubits, tuple(ineqs))
-
-
-@dataclass(frozen=True)
 class MembershipResult:
     member: bool
     violations: tuple  # of (Inequality, float slack)
@@ -85,13 +81,14 @@ def membership(point: SpectraPoint, tol: float = MEMBER_TOL) -> MembershipResult
     """Check the 3L inequalities; slacks below -tol are violations."""
     if not 0.0 <= tol < math.inf:  # false for NaN too
         raise ValidationError(f"slack tolerance must be a finite number >= 0, got {tol}")
-    model = polytope_model(point.num_qubits)
-    bad = []
-    for ineq in model.inequalities:
-        s = ineq.slack(point.lambdas)
-        if s < -tol:
-            bad.append((ineq, float(s)))
-    return MembershipResult(member=not bad, violations=tuple(bad))
+    L = point.num_qubits
+    check_qubit_count(L, 1, "membership")
+    bad = tuple(
+        (Inequality(KINDS[i // L], i % L + 1), float(s))
+        for i, s in enumerate(slacks(point.lambdas))
+        if s < -tol
+    )
+    return MembershipResult(member=not bad, violations=bad)
 
 
 @dataclass(frozen=True)
@@ -103,7 +100,6 @@ class StratumClass:
     walls and zero coordinates are detected.
     """
 
-    member: bool
     num_qubits: int
     k_half: int = 0
     half_qubits: tuple = ()
@@ -115,7 +111,6 @@ class StratumClass:
     degenerate: bool = False
     tol: float = 0.0
     trail: tuple = ()
-    violations: tuple = ()
 
 
 def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
@@ -159,18 +154,14 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
         trail.append("residual system is degenerate (fewer than 3 qubits); wall detection skipped")
     else:
         res_lams = tuple(lams[l - 1] for l in residual)
-        tight = tuple(
-            residual[i]
-            for i in range(res_L)
-            if abs(Inequality("wall", i + 1).slack(res_lams)) <= tol
-        )
+        walls = slacks(res_lams)[2 * res_L:]
+        tight = tuple(q for q, s in zip(residual, walls) if abs(s) <= tol)
         trail.append(f"tight walls at qubits {tight}" if tight else "no tight walls")
 
     zeros = tuple(l for l in residual if lams[l - 1] <= tol)
     trail.append(f"zero coordinates at qubits {zeros}" if zeros else "no zero coordinates")
 
     return StratumClass(
-        member=True,
         num_qubits=L,
         k_half=len(half),
         half_qubits=half,
@@ -244,42 +235,31 @@ def vertices(num_qubits: int) -> VertexList:
     return VertexList(L, tuple(out), source="closed-form")
 
 
-def _constraint_row(L: int, ineq: Inequality) -> tuple[list[Fraction], Fraction]:
-    """Row a, rhs b with the equality written as a . lambda = b."""
-    row = [Fraction(0)] * L
-    l = ineq.qubit - 1
-    if ineq.kind == "lower":
-        row[l] = Fraction(1)
-        return row, Fraction(0)
-    if ineq.kind == "upper":
-        row[l] = Fraction(1)
-        return row, HALF
-    row = [Fraction(1)] * L
-    row[l] = Fraction(-1)
-    return row, HALF * (L - 2)
-
-
 def vertices_oracle(num_qubits: int) -> VertexList:
     """Vertices by brute force: exact solves of L-subsets of the 3L equalities.
 
-    Every candidate basic solution is kept iff it satisfies all
-    inequalities; duplicates from different active sets are merged.
-    Guarded to small qubit counts, where the enumeration is cheap.
+    The slacks are affine in lambda, so row i of the system is read off
+    ``slacks``: coefficient j is slacks(e_j)[i] - slacks(0)[i], and the
+    equality sets that to -slacks(0)[i].  Every candidate basic solution
+    is kept iff all its slacks are >= 0; duplicates from different active
+    sets are merged.  Guarded to small qubit counts.
     """
     L = num_qubits
     if not 2 <= L <= MAX_ORACLE_QUBITS:
         raise ValidationError(f"oracle enumeration supports 2..{MAX_ORACLE_QUBITS} qubits")
-    model = polytope_model(L)
-    rows = [_constraint_row(L, q) for q in model.inequalities]
+    origin = slacks((Fraction(0),) * L)
+    unit = [slacks(tuple(Fraction(int(i == j)) for i in range(L))) for j in range(L)]
+    rows = [[e[r] - origin[r] for e in unit] for r in range(3 * L)]
+    rhs = [-s0 for s0 in origin]
     seen: dict[tuple, Vertex] = {}
     for picks in combinations(range(3 * L), L):
-        sol = solve_unique([rows[i][0] for i in picks], [rows[i][1] for i in picks])
+        sol = solve_unique([rows[i] for i in picks], [rhs[i] for i in picks])
         if sol is None:
             continue
         point = tuple(sol)
         if point in seen:
             continue
-        if any(q.slack(point) < 0 for q in model.inequalities):
+        if min(slacks(point)) < 0:
             continue
         zero_set = tuple(l for l in range(1, L + 1) if point[l - 1] == 0)
         seen[point] = Vertex(_vertex_label(L, zero_set), zero_set, SpectraPoint(point))
@@ -310,12 +290,14 @@ def facets(num_qubits: int) -> tuple:
     cut out edges and are dropped.
     """
     L = num_qubits
-    if not 2 <= L <= MAX_ORACLE_QUBITS:
-        raise ValidationError(f"facet enumeration supports 2..{MAX_ORACLE_QUBITS} qubits")
+    if not 2 <= L <= MAX_FACET_QUBITS:
+        raise ValidationError(f"facet enumeration supports 2..{MAX_FACET_QUBITS} qubits")
     verts = vertices(L).vertices
+    vert_slacks = [slacks(v.point.lambdas) for v in verts]
     out = []
-    for ineq in polytope_model(L).inequalities:
-        incident = [v for v in verts if ineq.slack(v.point.lambdas) == 0]
+    for row in range(3 * L):
+        ineq = Inequality(KINDS[row // L], row % L + 1)
+        incident = [v for v, s in zip(verts, vert_slacks) if s[row] == 0]
         if len(incident) < L:
             continue
         base = incident[0].point.lambdas
@@ -343,11 +325,10 @@ def random_interior_point(num_qubits: int, rng, margin: float = 0.02) -> Spectra
     check_qubit_count(L, 3, "interior sampling")  # at L = 2 the region is a segment
     if not 0.0 < margin < 0.1:
         raise ValidationError("margin must sit in (0, 0.1)")
-    wall_rhs = 0.5 * (L - 2)
     for _ in range(10000):
-        lams = rng.uniform(margin, 0.5 - margin, size=L)
-        if (wall_rhs - lams.sum() + 2.0 * lams > margin).all():
-            return SpectraPoint(tuple(float(x) for x in lams))
+        lams = tuple(float(x) for x in rng.uniform(margin, 0.5 - margin, size=L))
+        if all(s > margin for s in slacks(lams)[2 * L:]):
+            return SpectraPoint(lams)
     raise ValidationError(f"no interior point found at margin {margin} for L={L}")
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import HALF, membership
+from .polytope import membership, slacks
 from .qstate import PureState, SpectraPoint, check_qubit_count
 
 # How tightly alpha must satisfy the wall equality.
@@ -113,13 +113,6 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     return WeightSubspaceBasis(L, k, tuple(kets), distinguished=d, eigenvalue=-L + 2 * k)
 
 
-def _wall_deviation(lams: tuple, d: int):
-    """Deviation of -lambda_d + sum_{j != d} lambda_j from L/2 - 1."""
-    L = len(lams)
-    total = sum(lams)
-    return total - 2 * lams[d - 1] - (HALF * L - 1)
-
-
 def wall_state(
     alpha: SpectraPoint,
     phases,
@@ -147,7 +140,7 @@ def wall_state(
     L = alpha.num_qubits
     if L < 2:
         raise ValidationError("wall states need at least two qubits")
-    if not membership(alpha, tol=max(tol, 0.0)).member:
+    if not membership(alpha, tol=tol).member:
         raise ValidationError("alpha is not an admissible spectra point")
     lams = alpha.lambdas
     if any(float(x) >= 0.5 for x in lams):
@@ -155,15 +148,16 @@ def wall_state(
             "wall_state requires all coordinates strictly below 1/2; "
             "strip 1/2 coordinates (product factors) first"
         )
+    walls = slacks(lams)[2 * L:]
     if distinguished is None:
-        matches = [d for d in range(1, L + 1) if abs(_wall_deviation(lams, d)) <= tol]
+        matches = [d for d in range(1, L + 1) if abs(walls[d - 1]) <= tol]
         if not matches:
             raise ValidationError("alpha does not satisfy any wall equality")
         distinguished = matches[0]
     else:
         if not 1 <= distinguished <= L:
             raise ValidationError(f"distinguished index {distinguished} out of range 1..{L}")
-        if abs(_wall_deviation(lams, distinguished)) > tol:
+        if abs(walls[distinguished - 1]) > tol:
             raise ValidationError(
                 f"alpha does not satisfy the wall equality of qubit {distinguished}"
             )

@@ -61,6 +61,14 @@ class TestPinnedExamples:
         assert doc["oracle_count"] == 12
         assert doc["oracle_agrees"] is True
 
+    def test_oracle_past_its_bound_is_refused(self, capsys):
+        start = time.perf_counter()
+        code, doc, err = run(capsys, "vertices", "-L", "7", "--oracle")
+        assert time.perf_counter() - start < 2.0
+        assert code == 1 and doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and "2..6 qubits" in error["message"]
+
     def test_dim_at_separable_vertex(self, capsys):
         code, doc, _ = run(capsys, "dim", "--lambda", "0.5,0.5,0.5,0.5")
         assert code == 0
@@ -640,8 +648,8 @@ def fuzz_files(tmp_path_factory):
 class TestFuzz:
     @staticmethod
     def slow(argv):
-        # the brute-force vertex oracle takes about 9 s at L = 6 and minutes at L = 8
-        return "--oracle" in argv and any(t.isdigit() and int(t) >= 6 for t in argv)
+        # the brute-force vertex oracle takes about 7 s at L = 6 and refuses L >= 7
+        return "--oracle" in argv and any(t.isdigit() and int(t) == 6 for t in argv)
 
     def test_main_exits_with_a_contract_code(self, fuzz_files, monkeypatch):
         root, files = fuzz_files

@@ -1,7 +1,8 @@
 """Membership, strata, vertices, and facets of the admissible region."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
+from math import comb
 
 import numpy as np
 import pytest
@@ -9,17 +10,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lupoly import (
+    Inequality,
     SpectraPoint,
     ValidationError,
     classify,
     facets,
     membership,
-    polytope_model,
     random_interior_point,
     random_wall_point,
+    slacks,
     vertices,
     vertices_oracle,
 )
+from lupoly import polytope
+from lupoly.polytope import HALF, KINDS, MEMBER_TOL
 
 TABLE_L4 = {
     "v_SEP": ("1/2", "1/2", "1/2", "1/2"),
@@ -35,6 +39,90 @@ TABLE_L4 = {
     "v_4": ("0", "0", "0", "1/2"),
     "v_GHZ": ("0", "0", "0", "0"),
 }
+
+
+def reference_slack(kind: str, qubit: int, lams: tuple):
+    """One inequality's slack, written out per kind (the formula slacks replaced)."""
+    lam = lams[qubit - 1]
+    if kind == "lower":
+        return lam
+    if kind == "upper":
+        return HALF - lam
+    total = sum(lams)
+    return HALF * (len(lams) - 2) - total + 2 * lam
+
+
+def reference_equality_row(L: int, kind: str, qubit: int) -> tuple:
+    """Row a, rhs b of one equality written as a . lambda = b, per kind."""
+    row = [Fraction(0)] * L
+    l = qubit - 1
+    if kind == "lower":
+        row[l] = Fraction(1)
+        return row, Fraction(0)
+    if kind == "upper":
+        row[l] = Fraction(1)
+        return row, HALF
+    row = [Fraction(1)] * L
+    row[l] = Fraction(-1)
+    return row, HALF * (L - 2)
+
+
+def reference_slacks(lams: tuple) -> list:
+    return [reference_slack(kind, l, lams) for kind in KINDS for l in range(1, len(lams) + 1)]
+
+
+class TestSlacks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.fractions(Fraction(-1, 2), Fraction(1), max_denominator=60),
+                    min_size=1, max_size=12))
+    def test_exact_points_match_the_reference(self, lams):
+        got = slacks(tuple(lams))
+        assert list(got) == reference_slacks(tuple(lams))
+        assert all(isinstance(s, Fraction) for s in got)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-0.5, 1.0, allow_nan=False), min_size=1, max_size=12))
+    def test_float_points_match_the_reference_bit_for_bit(self, lams):
+        got = slacks(tuple(lams))
+        assert [float(s).hex() for s in got] == [float(s).hex() for s in reference_slacks(tuple(lams))]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-0.3, 0.8, allow_nan=False), min_size=1, max_size=12))
+    def test_membership_lists_violations_in_row_order(self, lams):
+        L = len(lams)
+        want = tuple(
+            (Inequality(kind, l), float(s))
+            for kind in KINDS
+            for l in range(1, L + 1)
+            if (s := reference_slack(kind, l, tuple(lams))) < -MEMBER_TOL
+        )
+        result = membership(SpectraPoint(tuple(lams)))
+        assert result.violations == want
+        assert result.member == (not want)
+
+    @pytest.mark.parametrize("num_qubits", [2, 3, 4])
+    def test_oracle_rows_match_the_reference_up_to_sign(self, num_qubits, monkeypatch):
+        L = num_qubits
+        calls = []
+        solve_unique = polytope.solve_unique
+
+        def recording(rows, rhs):
+            calls.append((rows, rhs))
+            return solve_unique(rows, rhs)
+
+        monkeypatch.setattr(polytope, "solve_unique", recording)
+        vertices_oracle(L)
+        picks = list(combinations(range(3 * L), L))
+        assert len(calls) == len(picks) == comb(3 * L, L)
+        table = {}
+        for chosen, (rows, rhs) in zip(picks, calls):
+            for i, row, b in zip(chosen, rows, rhs):
+                table.setdefault(i, (list(row), b))
+                assert table[i] == (list(row), b)
+        assert sorted(table) == list(range(3 * L))
+        for i, (row, b) in table.items():
+            ref_row, ref_b = reference_equality_row(L, KINDS[i // L], i % L + 1)
+            assert (row, b) in ((ref_row, ref_b), ([-a for a in ref_row], -ref_b))
 
 
 class TestMembership:
@@ -85,11 +173,14 @@ class TestMembership:
         )
 
     def test_model_lists_three_inequalities_per_qubit(self):
-        model = polytope_model(4)
-        kinds = [(q.kind, q.qubit) for q in model.inequalities]
-        assert len(kinds) == 12
-        for kind in ("lower", "upper", "wall"):
-            assert [q for k, q in kinds if k == kind] == [1, 2, 3, 4]
+        assert len(slacks((0.1, 0.2, 0.15, 0.3))) == 12
+        # each point breaks exactly one inequality; membership names it by kind and qubit
+        breaking = {"lower": (-0.05, 0.25), "upper": (0.55, 0.4), "wall": (0.0, 0.4)}
+        for kind, (own, rest) in breaking.items():
+            for l in range(1, 5):
+                lams = tuple(own if j == l else rest for j in range(1, 5))
+                violations = membership(SpectraPoint(lams)).violations
+                assert violations == ((Inequality(kind, l), float(reference_slack(kind, l, lams))),)
 
 
 class TestClassify:
@@ -113,6 +204,12 @@ class TestClassify:
         assert stratum.k_half == 1 and stratum.half_qubits == (1,)
         assert stratum.residual_qubits == (2, 3, 4)
         assert stratum.residual_L == 3
+
+    def test_tight_wall_is_named_in_full_system_qubits(self):
+        # the wall is tight in the residual system (2, 3, 4) after qubit 1 is stripped
+        stratum = classify(SpectraPoint.exact(["1/2", "1/6", "1/3", "1/3"]))
+        assert stratum.half_qubits == (1,)
+        assert stratum.tight_walls == (2,)
 
     def test_two_qubit_residual_is_degenerate(self):
         stratum = classify(SpectraPoint.exact(["1/2", "1/2", "3/10", "3/10"]))
@@ -193,6 +290,8 @@ class TestVertices:
             vertices(13)
         with pytest.raises(ValidationError):
             vertices_oracle(9)
+        with pytest.raises(ValidationError, match="2..6 qubits"):
+            vertices_oracle(7)
 
 
 class TestFacets:

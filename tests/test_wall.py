@@ -175,6 +175,9 @@ class TestWallState:
             wall_state(alpha, [0.0, np.nan, 0.0])
         with pytest.raises(ValidationError, match="two qubits"):
             wall_state(SpectraPoint.exact(["1/2"]), np.zeros(1))
+        # a bad tolerance is reported as such, even at an exact wall point
+        with pytest.raises(ValidationError, match="slack tolerance"):
+            wall_state(SpectraPoint.exact(["1/6", "1/3", "1/3"]), np.zeros(3), tol=-1)
 
 
 class TestTorusCertificate:
