@@ -3,7 +3,15 @@
 Shifted one-qubit marginal spectra, the polytope they fill, closed-form
 reduced-space dimensions per boundary stratum, explicit wall and stable
 states, and a numerical fiber oracle that cross-checks the formulas.
+
+The exact layer (``errors``, ``polytope``, ``dimension``, ``wall``) is
+imported with the package and needs no numpy.  The names of the numpy
+modules ``qstate``, ``fiberlab`` and ``stability`` are imported on first
+access through ``__getattr__`` (PEP 562), so ``import lupoly`` does not
+load numpy.
 """
+
+import importlib
 
 from .dimension import DimReport, dim_for_point, dim_reduced_space, report_document
 from .errors import (
@@ -13,21 +21,11 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .fiberlab import (
-    DmuReport,
-    FiberSample,
-    NumericDimEstimate,
-    SampleAudit,
-    momentum_differential_matrix,
-    momentum_rank_report,
-    numeric_dim,
-    rank_dmu,
-    sample_fiber,
-)
 from .polytope import (
     Facet,
     Inequality,
     MembershipResult,
+    SpectraPoint,
     StratumClass,
     Vertex,
     VertexList,
@@ -40,32 +38,6 @@ from .polytope import (
     vertices,
     vertices_oracle,
 )
-from .qstate import (
-    DensityMatrix2,
-    PureState,
-    SpectraPoint,
-    apply_local_unitary,
-    dump_state,
-    haar_state,
-    load_state,
-    loads_state,
-    momentum_map,
-    psi_map,
-    purity_invariants,
-    random_local_unitaries,
-    random_state,
-    reduce_one_qubit,
-    state_document,
-    state_from_document,
-)
-from .stability import (
-    OrbitReport,
-    StabilityReport,
-    complement_pair_state,
-    orbit_dimensions,
-    stable_state,
-    verify_stable,
-)
 from .wall import (
     TorusCertificate,
     WallOperator,
@@ -75,6 +47,53 @@ from .wall import (
     torus_transitivity_check,
     wall_state,
 )
+
+# Public name -> the numpy module that defines it, imported on first access.
+_LAZY = {
+    "DensityMatrix2": "qstate",
+    "PureState": "qstate",
+    "apply_local_unitary": "qstate",
+    "dump_state": "qstate",
+    "haar_state": "qstate",
+    "load_state": "qstate",
+    "loads_state": "qstate",
+    "momentum_map": "qstate",
+    "psi_map": "qstate",
+    "purity_invariants": "qstate",
+    "random_local_unitaries": "qstate",
+    "random_state": "qstate",
+    "reduce_one_qubit": "qstate",
+    "state_document": "qstate",
+    "state_from_document": "qstate",
+    "DmuReport": "fiberlab",
+    "FiberSample": "fiberlab",
+    "NumericDimEstimate": "fiberlab",
+    "SampleAudit": "fiberlab",
+    "momentum_differential_matrix": "fiberlab",
+    "momentum_rank_report": "fiberlab",
+    "numeric_dim": "fiberlab",
+    "rank_dmu": "fiberlab",
+    "sample_fiber": "fiberlab",
+    "OrbitReport": "stability",
+    "StabilityReport": "stability",
+    "complement_pair_state": "stability",
+    "orbit_dimensions": "stability",
+    "stable_state": "stability",
+    "verify_stable": "stability",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))
+
 
 __version__ = "0.1.0"
 

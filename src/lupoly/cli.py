@@ -6,6 +6,11 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure
 Points enter either as an inline ``--lambda`` list, as a ``--state``
 file, or as a JSON document piped to standard input; exactly one
 source is accepted per invocation.
+
+The numpy modules (``qstate``, ``fiberlab``, ``stability``) are imported
+inside the handlers and branches that use them: ``classify`` and ``dim``
+on a lambda list, ``vertices``, ``facets``, ``xspec`` and ``wall-check``
+run without importing numpy.
 """
 
 from __future__ import annotations
@@ -21,19 +26,7 @@ from fractions import Fraction
 
 from .dimension import dim_for_point, report_document
 from .errors import InternalInvariantError, NumericalError, ValidationError
-from .fiberlab import numeric_dim, sample_fiber
-from .polytope import classify, facets, vertices, vertices_oracle
-from .qstate import (
-    PureState,
-    SpectraPoint,
-    load_state,
-    psi_map,
-    purity_invariants,
-    read_json,
-    state_document,
-    state_from_document,
-)
-from .stability import stable_state, verify_stable
+from .polytope import SpectraPoint, classify, facets, read_json, vertices, vertices_oracle
 from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_check
 
 # Tokens honored exactly: integers and p/q fractions.  Anything else in
@@ -105,11 +98,14 @@ def _parse_lambdas(text: str) -> SpectraPoint:
     return _point_from_tokens([tok.strip() for tok in text.split(",") if tok.strip()])
 
 
-def _read_state(path: str) -> PureState:
+def _read_state(path: str):
+    """The PureState in a state file, or on stdin for ``-``."""
+    from . import qstate
+
     if path == "-":
-        return _state_from_stdin()
+        return qstate.state_from_document(_unnest(_stdin_document()))
     try:
-        return load_state(path)
+        return qstate.load_state(path)
     except OSError as exc:
         raise ValidationError(f"cannot read state file {path!r}: {exc}") from exc
 
@@ -123,12 +119,11 @@ def _stdin_document() -> dict:
     return doc
 
 
-def _state_from_stdin() -> PureState:
-    doc = _stdin_document()
-    # allow piping a whole subcommand document that nests the state
+def _unnest(doc: dict) -> dict:
+    """A piped subcommand document that nests a state stands for that state."""
     if "amplitudes" not in doc and isinstance(doc.get("state"), dict):
-        doc = doc["state"]
-    return state_from_document(doc)
+        return doc["state"]
+    return doc
 
 
 def _resolve_point(args) -> SpectraPoint:
@@ -137,22 +132,23 @@ def _resolve_point(args) -> SpectraPoint:
         raise ValidationError("--lambda and --state are mutually exclusive")
     if args.lambdas is not None:
         return _parse_lambdas(args.lambdas)
-    if args.state is not None:
-        return psi_map(_read_state(args.state))
-    doc = _stdin_document()
-    if "lambdas" in doc:
-        lams = doc["lambdas"]
-        if not isinstance(lams, list) or not lams:
-            raise ValidationError('"lambdas" must be a non-empty array')
-        # JSON numbers and strings follow the --lambda token rule
-        return _point_from_tokens([str(x).strip() for x in lams])
-    if "amplitudes" in doc:
-        return psi_map(state_from_document(doc))
-    if isinstance(doc.get("state"), dict) and "amplitudes" in doc["state"]:
-        return psi_map(state_from_document(doc["state"]))
-    raise ValidationError(
-        'stdin document carries no "lambdas", "amplitudes", or nested "state"'
-    )
+    if args.state is None:
+        doc = _stdin_document()
+        if "lambdas" in doc:
+            lams = doc["lambdas"]
+            if not isinstance(lams, list) or not lams:
+                raise ValidationError('"lambdas" must be a non-empty array')
+            # JSON numbers and strings follow the --lambda token rule
+            return _point_from_tokens([str(x).strip() for x in lams])
+        doc = _unnest(doc)
+        if "amplitudes" not in doc:
+            raise ValidationError(
+                'stdin document carries no "lambdas", "amplitudes", or nested "state"'
+            )
+    from . import qstate  # only a state needs numpy
+
+    state = qstate.state_from_document(doc) if args.state is None else _read_state(args.state)
+    return qstate.psi_map(state)
 
 
 def _load_config(path: str | None) -> dict:
@@ -220,12 +216,14 @@ def _vertex_document(vertex) -> dict:
 
 
 def cmd_psi(args):
+    from . import qstate
+
     state = _read_state(args.state)
-    point = psi_map(state)
+    point = qstate.psi_map(state)
     doc = {
         "num_qubits": state.num_qubits,
         "lambdas": [float(x) for x in point.lambdas],
-        "purity": [float(p) for p in purity_invariants(state)],
+        "purity": [float(p) for p in qstate.purity_invariants(state)],
     }
     return doc, 0
 
@@ -305,6 +303,8 @@ def cmd_wall_check(args):
 
 
 def cmd_stable(args):
+    from . import qstate, stability
+
     if args.state is not None:
         if args.L is not None or args.alpha is not None:
             raise ValidationError("--state verifies an existing state; drop -L/--alpha")
@@ -313,20 +313,22 @@ def cmd_stable(args):
     else:
         if args.L is None:
             raise ValidationError("pass -L to construct a state or --state to verify one")
-        state = stable_state(args.L, alpha=args.alpha)
+        state = stability.stable_state(args.L, alpha=args.alpha)
         constructed = True
-    report = verify_stable(state, k1=args.k1, **_settings(args, "rank_tol"))
+    report = stability.verify_stable(state, k1=args.k1, **_settings(args, "rank_tol"))
     doc = {"num_qubits": state.num_qubits, "alpha": args.alpha}
     doc.update(report.document())
     if constructed:
-        doc["state"] = state_document(state)
+        doc["state"] = qstate.state_document(state)
     code = 2 if report.orbit.ill_conditioned else 0
     return doc, code
 
 
 def cmd_sample_fiber(args):
+    from . import fiberlab, qstate
+
     point = _resolve_point(args)
-    sample = sample_fiber(point, seed=args.seed, **_settings(args, "tol"))
+    sample = fiberlab.sample_fiber(point, seed=args.seed, **_settings(args, "tol"))
     doc = {
         "num_qubits": sample.state.num_qubits,
         "target": [float(x) for x in sample.target.lambdas],
@@ -335,14 +337,16 @@ def cmd_sample_fiber(args):
         "restarts": sample.restarts,
         "seed": sample.seed,
         "method": sample.method,
-        "state": state_document(sample.state),
+        "state": qstate.state_document(sample.state),
     }
     return doc, 0
 
 
 def cmd_oracle_dim(args):
+    from . import fiberlab
+
     point = _resolve_point(args)
-    estimate = numeric_dim(
+    estimate = fiberlab.numeric_dim(
         point,
         n_samples=args.samples,
         seeds=[args.seed + i for i in range(args.samples)],

@@ -17,6 +17,8 @@ import numpy as np
 from .dimension import dim_for_point
 from .fiberlab import numeric_dim, rank_dmu
 from .polytope import (
+    MAX_QUBITS,
+    SpectraPoint,
     facets,
     membership,
     random_interior_point,
@@ -25,8 +27,6 @@ from .polytope import (
     vertices_oracle,
 )
 from .qstate import (
-    MAX_QUBITS,
-    SpectraPoint,
     apply_local_unitary,
     haar_state,
     momentum_map,

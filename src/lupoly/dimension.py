@@ -10,8 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInvariantError
-from .polytope import StratumClass, classify
-from .qstate import SpectraPoint
+from .polytope import SpectraPoint, StratumClass, classify
 
 # Formula labels, in precedence order of the classifier.
 FORMULAS = (

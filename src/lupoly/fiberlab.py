@@ -23,8 +23,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .polytope import StratumClass, classify, membership
-from .qstate import PureState, SpectraPoint, haar_state, pauli_images, psi_map
+from .polytope import SpectraPoint, StratumClass, classify, membership
+from .qstate import PureState, haar_state, pauli_images, psi_map
 from .stability import RANK_TOL, _check_tolerance, _rank_and_svals, orbit_dimensions
 from .wall import wall_state
 

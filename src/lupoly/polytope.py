@@ -17,18 +17,109 @@ the wall checks of ``wall.wall_state`` are all read off these slacks.
 All constraint arithmetic goes through Fraction constants, so points
 with exact rational coordinates are classified exactly; float
 coordinates fall back to a tolerance.
+
+This module is the numpy-free base layer.  It also holds the point type
+``SpectraPoint``, the qubit-count and qubit-index checks and ``read_json``,
+so ``dimension``, ``wall`` and the exact CLI subcommands run without
+importing numpy; ``qstate`` re-exports these names.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Rational
+from typing import Sequence
 
 from ._exact import exact_rank, solve_unique
 from .errors import ValidationError
-from .qstate import SpectraPoint, check_qubit_count
+
+MAX_QUBITS = 12
+
+
+def _check_int(value, what: str) -> None:
+    """Refuse a non-integer: Python and numpy integers pass, bools and floats do not."""
+    if not isinstance(value, bool):
+        try:
+            operator.index(value)  # also refuses numpy.bool_
+            return
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def check_qubit_count(num_qubits: int, low: int, what: str) -> None:
+    """Refuse a qubit count outside low..MAX_QUBITS before anything is allocated."""
+    _check_int(num_qubits, f"{what}: the qubit count")
+    if not low <= num_qubits <= MAX_QUBITS:
+        raise ValidationError(f"{what} supports {low}..{MAX_QUBITS} qubits, got {num_qubits}")
+
+
+def check_qubit_index(index: int, num_qubits: int, what: str) -> None:
+    """Refuse a 1-based qubit index that is not an integer in 1..num_qubits."""
+    _check_int(index, what)
+    if not 1 <= index <= num_qubits:
+        raise ValidationError(f"{what} {index} out of range 1..{num_qubits}")
+
+
+def read_json(source, what: str):
+    """Parse JSON text, or the text of a readable handle; bad input is a ValidationError.
+
+    Covers syntax errors, undecodable bytes, integers past the digit
+    limit, and nesting deep enough to exhaust the recursion limit.
+    """
+    try:
+        return json.loads(source if isinstance(source, str) else source.read())
+    except (ValueError, RecursionError) as exc:
+        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
+
+
+@dataclass(frozen=True)
+class SpectraPoint:
+    """Ordered shifted spectra (lambda_1, ..., lambda_L).
+
+    Coordinates may be floats or exact rationals (fractions.Fraction);
+    exact coordinates make boundary classification exact.
+    """
+
+    lambdas: tuple
+
+    def __post_init__(self) -> None:
+        lams = tuple(self.lambdas)
+        if not lams:
+            raise ValidationError("a spectra point needs at least one coordinate")
+        np = sys.modules.get("numpy")  # no numpy.bool_ exists before numpy is loaded
+        booleans = bool if np is None else (bool, np.bool_)
+        for x in lams:
+            if isinstance(x, booleans):
+                raise ValidationError("spectra coordinates must be numbers, not booleans")
+            if not isinstance(x, Rational) and not math.isfinite(float(x)):
+                raise ValidationError("spectra coordinates must be finite")
+        object.__setattr__(self, "lambdas", lams)
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.lambdas)
+
+    @property
+    def is_exact(self) -> bool:
+        """True when every coordinate is rational and comparisons are exact."""
+        return all(isinstance(x, Rational) for x in self.lambdas)
+
+    def as_array(self) -> "numpy.ndarray":
+        import numpy as np
+
+        return np.array([float(x) for x in self.lambdas], dtype=np.float64)
+
+    @classmethod
+    def exact(cls, values: Sequence) -> "SpectraPoint":
+        return cls(tuple(Fraction(v) for v in values))
+
 
 HALF = Fraction(1, 2)
 
@@ -344,8 +435,7 @@ def random_wall_point(num_qubits: int, rng, distinguished: int = 1) -> SpectraPo
     L = num_qubits
     d = distinguished
     check_qubit_count(L, 3, "wall sampling")
-    if not 1 <= d <= L:
-        raise ValidationError(f"distinguished qubit {d} out of range 1..{L}")
+    check_qubit_index(d, L, "distinguished qubit")
     m_d = rng.uniform(0.55, 0.95)
     floor = 0.25 * (1.0 - m_d) / (L - 1)
     for _ in range(10000):

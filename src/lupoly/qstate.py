@@ -7,6 +7,10 @@ Conventions used throughout the package:
   ``sum(b_l * 2**(L - l))``.
 * ``lambda_l = 1/2 - p_l`` where ``p_l`` is the smaller eigenvalue of
   the one-qubit reduction ``rho_l``; each ``lambda_l`` lies in [0, 1/2].
+
+The point type ``SpectraPoint``, ``MAX_QUBITS``, ``check_qubit_count``
+and ``read_json`` live in the numpy-free ``polytope`` module and are
+re-exported here, so ``lupoly.qstate.SpectraPoint`` names the same class.
 """
 
 from __future__ import annotations
@@ -15,13 +19,12 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from numbers import Rational
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
+from .polytope import MAX_QUBITS, SpectraPoint, check_qubit_count, check_qubit_index, read_json
 
 # Input states may be off unit norm by this much before rejection;
 # internally constructed states are normalized to machine precision.
@@ -30,14 +33,6 @@ NORM_TOL = 1e-9
 MATRIX_TOL = 1e-12
 # Local unitaries must satisfy g g^dag = I and det g = 1 this tightly.
 UNITARY_TOL = 1e-10
-
-MAX_QUBITS = 12
-
-
-def check_qubit_count(num_qubits: int, low: int, what: str) -> None:
-    """Refuse a qubit count outside low..MAX_QUBITS before anything is allocated."""
-    if not low <= num_qubits <= MAX_QUBITS:
-        raise ValidationError(f"{what} supports {low}..{MAX_QUBITS} qubits, got {num_qubits}")
 
 
 def _num_qubits_for(dim: int) -> int:
@@ -139,53 +134,10 @@ class DensityMatrix2:
         return np.asarray(self.matrix) - np.eye(2) / 2.0
 
 
-def _is_exact(value) -> bool:
-    return isinstance(value, Rational)
-
-
-@dataclass(frozen=True)
-class SpectraPoint:
-    """Ordered shifted spectra (lambda_1, ..., lambda_L).
-
-    Coordinates may be floats or exact rationals (fractions.Fraction);
-    exact coordinates make boundary classification exact.
-    """
-
-    lambdas: tuple
-
-    def __post_init__(self) -> None:
-        lams = tuple(self.lambdas)
-        if not lams:
-            raise ValidationError("a spectra point needs at least one coordinate")
-        for x in lams:
-            if isinstance(x, (bool, np.bool_)):
-                raise ValidationError("spectra coordinates must be numbers, not booleans")
-            if not _is_exact(x) and not math.isfinite(float(x)):
-                raise ValidationError("spectra coordinates must be finite")
-        object.__setattr__(self, "lambdas", lams)
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.lambdas)
-
-    @property
-    def is_exact(self) -> bool:
-        """True when every coordinate is rational and comparisons are exact."""
-        return all(_is_exact(x) for x in self.lambdas)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([float(x) for x in self.lambdas], dtype=np.float64)
-
-    @classmethod
-    def exact(cls, values: Sequence) -> "SpectraPoint":
-        return cls(tuple(Fraction(v) for v in values))
-
-
 def reduce_one_qubit(state: PureState, l: int) -> DensityMatrix2:
     """Partial trace onto qubit l (1-based), discarding all other qubits."""
     L = state.num_qubits
-    if not 1 <= l <= L:
-        raise ValidationError(f"qubit index {l} out of range 1..{L}")
+    check_qubit_index(l, L, "qubit index")
     t = state.amplitudes.reshape((2,) * L)
     other_axes = tuple(i for i in range(L) if i != l - 1)
     return DensityMatrix2(np.tensordot(t, t.conj(), axes=(other_axes, other_axes)))
@@ -304,18 +256,6 @@ def random_local_unitaries(num_qubits: int, rng: np.random.Generator) -> list[np
 # --- state files -----------------------------------------------------------
 #
 # {"L": 3, "amplitudes": [[re, im], ...]} with exactly 2**L entries.
-
-
-def read_json(source, what: str):
-    """Parse JSON text, or the text of a readable handle; bad input is a ValidationError.
-
-    Covers syntax errors, undecodable bytes, integers past the digit
-    limit, and nesting deep enough to exhaust the recursion limit.
-    """
-    try:
-        return json.loads(source if isinstance(source, str) else source.read())
-    except (ValueError, RecursionError) as exc:
-        raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
 def loads_state(text: str, renormalize: bool = False) -> PureState:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .qstate import PureState, apply_slot_operator, check_qubit_count, reduce_one_qubit
+from .polytope import check_qubit_count
+from .qstate import PureState, apply_slot_operator, reduce_one_qubit
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)

@@ -5,21 +5,21 @@ showing those fibers are single orbits.
 Sign convention (distinguished index d): qubit d contributes -1 for
 |0> and +1 for |1>; every other qubit contributes +1 for |0> and -1
 for |1>.  Eigenvalues then run over {-L, -L+2, ..., L}.
+
+Only ``wall_state`` builds amplitudes; it imports numpy when called, so
+the operator, its eigenspaces and the certificate run without numpy.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
-
-import numpy as np
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import membership, slacks
-from .qstate import PureState, SpectraPoint, check_qubit_count
+from .polytope import SpectraPoint, check_qubit_count, check_qubit_index, membership, slacks
 
 # How tightly alpha must satisfy the wall equality.
 WALL_TOL = 1e-9
@@ -32,12 +32,11 @@ class WallOperator:
     num_qubits: int
     distinguished: int
     xi: tuple
-    diagonal: np.ndarray
+    diagonal: tuple  # of ints, one per computational-basis index
 
     def spectrum(self) -> tuple:
         """Sorted (eigenvalue, multiplicity) pairs of the diagonal."""
-        values, counts = np.unique(self.diagonal, return_counts=True)
-        return tuple((int(v), int(c)) for v, c in zip(values, counts))
+        return tuple(sorted(Counter(self.diagonal).items()))
 
 
 def build_wall_operator(num_qubits: int, distinguished: int = 1) -> WallOperator:
@@ -48,15 +47,11 @@ def build_wall_operator(num_qubits: int, distinguished: int = 1) -> WallOperator
     """
     L = num_qubits
     check_qubit_count(L, 1, "the wall operator")
-    if not 1 <= distinguished <= L:
-        raise ValidationError(f"distinguished index {distinguished} out of range 1..{L}")
+    check_qubit_index(distinguished, L, "distinguished index")
     xi = tuple(-1 if l == distinguished else 1 for l in range(1, L + 1))
-    idx = np.arange(2**L)
-    diag = np.zeros(2**L, dtype=np.int64)
-    for l in range(1, L + 1):
-        bit = (idx >> (L - l)) & 1
-        # bit=0 contributes +xi_l, bit=1 contributes -xi_l
-        diag += np.where(bit == 1, -xi[l - 1], xi[l - 1])
+    diag = (0,)
+    for x in xi:  # qubit l at bit 0 adds +xi_l, at bit 1 adds -xi_l; qubit 1 is the top bit
+        diag = tuple(v + s for v in diag for s in (x, -x))
     return WallOperator(L, distinguished, xi, diag)
 
 
@@ -91,8 +86,7 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     check_qubit_count(L, 1, "eigenspace_basis")
     if not 0 <= k <= L:
         raise ValidationError(f"k={k} out of range 0..{L}")
-    if not 1 <= distinguished <= L:
-        raise ValidationError(f"distinguished index {distinguished} out of range 1..{L}")
+    check_qubit_index(distinguished, L, "distinguished index")
     d = distinguished
     others = [l for l in range(1, L + 1) if l != d]
     full = 2**L - 1
@@ -118,7 +112,7 @@ def wall_state(
     phases,
     distinguished: int | None = None,
     tol: float = WALL_TOL,
-) -> PureState:
+) -> "PureState":
     """Explicit fiber state over a wall point.
 
     Parameters
@@ -155,13 +149,16 @@ def wall_state(
             raise ValidationError("alpha does not satisfy any wall equality")
         distinguished = matches[0]
     else:
-        if not 1 <= distinguished <= L:
-            raise ValidationError(f"distinguished index {distinguished} out of range 1..{L}")
+        check_qubit_index(distinguished, L, "distinguished index")
         if abs(walls[distinguished - 1]) > tol:
             raise ValidationError(
                 f"alpha does not satisfy the wall equality of qubit {distinguished}"
             )
     d = distinguished
+
+    import numpy as np
+
+    from .qstate import PureState
 
     theta = np.asarray(phases, dtype=np.float64).reshape(-1)
     if theta.size != L:

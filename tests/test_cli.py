@@ -231,7 +231,7 @@ class TestExitCodes:
         def refuse(*a, **kw):
             raise ConvergenceError("stalled")
 
-        monkeypatch.setattr(cli, "sample_fiber", refuse)
+        monkeypatch.setattr("lupoly.fiberlab.sample_fiber", refuse)
         code, _, err = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15")
         assert code == 2 and json.loads(err)["error"]["type"] == "ConvergenceError"
 

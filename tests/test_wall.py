@@ -9,6 +9,7 @@ from lupoly import (
     SpectraPoint,
     ValidationError,
     build_wall_operator,
+    classify,
     complement_pair_state,
     eigenspace_basis,
     psi_map,
@@ -217,3 +218,45 @@ def test_qubit_count_bounded_before_allocation():
     ):
         with pytest.raises(ValidationError, match=f"..{MAX_QUBITS} qubits, got 30"):
             build(30)
+
+
+class TestQubitIndexIsAnInteger:
+    """Qubit counts and distinguished indices must be integers (numpy ones too)."""
+
+    BAD = (1.5, 2.0, True, np.True_, "2")
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_build_wall_operator(self, bad):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build_wall_operator(3, distinguished=bad)
+
+    @pytest.mark.parametrize("bad", (3.0, True, "3"), ids=repr)
+    def test_build_wall_operator_qubit_count(self, bad):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            build_wall_operator(bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_eigenspace_basis(self, bad):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            eigenspace_basis(3, 1, bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_wall_state(self, bad):
+        alpha = random_wall_point(3, np.random.default_rng(36))
+        with pytest.raises(ValidationError, match="must be an integer"):
+            wall_state(alpha, np.zeros(3), distinguished=bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_random_wall_point(self, bad):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            random_wall_point(3, np.random.default_rng(37), distinguished=bad)
+
+    def test_numpy_integers_pass(self):
+        d = np.int64(2)
+        op = build_wall_operator(np.int64(3), distinguished=d)
+        assert op.diagonal == build_wall_operator(3, 2).diagonal
+        assert eigenspace_basis(3, 1, d) == eigenspace_basis(3, 1, 2)
+        alpha = random_wall_point(3, np.random.default_rng(38), distinguished=d)
+        assert classify(alpha).tight_walls == (2,)
+        state = wall_state(alpha, np.zeros(3), distinguished=d)
+        assert np.allclose(psi_map(state).as_array(), alpha.as_array(), atol=1e-10)
