@@ -12,10 +12,18 @@ two can be compared honestly:
 * ``numeric_dim``: assembles per-sample estimates
   (dim P(H) - rank dmu) - (dim K_alpha - dim isotropy) and reports the
   common value only when every sample agrees and looks regular.
+
+The descent works on a stack of states, shape (n, 2^L): ``numeric_dim``
+descends its n samples together, each row with its own damping, stop
+test and restarts, and ``sample_fiber`` is the one-row case.  Each
+sample is re-verified once through ``psi_map`` (a partial trace, not the
+Pauli images the descent uses), and the dmu and orbit ranks of a stack
+come from one SVD call each; the orbit ranks use ``apply_slot_operator``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,9 +31,10 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .polytope import SpectraPoint, StratumClass, classify, membership
+from .polytope import SpectraPoint, StratumClass, _check_int, classify, membership
 from .qstate import PureState, haar_state, pauli_images, psi_map
-from .stability import RANK_TOL, _check_tolerance, _rank_and_svals, orbit_dimensions
+from .stability import (RANK_TOL, _check_tolerance, _generator_actions, _rank_and_svals,
+                        _real_columns)
 from .wall import wall_state
 
 FIBER_TOL = 1e-10
@@ -35,72 +44,137 @@ FIBER_TOL = 1e-10
 # took at most 45 steps from Haar starts, down to wall slack 2e-9.
 MAX_ITERS = 200
 MAX_RESTARTS = 5
+# numeric_dim descends at most this many Pauli-image entries (n * 3L * 2^L,
+# 4 MiB) as one stack: all samples at small L, one at a time at L = 12.
+STACK_ENTRIES = 2**18
+
+
+@functools.lru_cache(maxsize=256)
+def _residual_order(L: int, zero_mask: bytes) -> np.ndarray:
+    """Where the residuals sit among [lambda_l - t_l for every l] + [r_lk / 2 for every l, k].
+
+    The nonzero-target qubits come first, then the three components of each
+    zero_mask qubit; read-only, cached per L and mask.
+    """
+    mask = np.frombuffer(zero_mask, dtype=bool)
+    order = np.concatenate([np.flatnonzero(~mask), L + np.flatnonzero(np.repeat(mask, 3))])
+    order.flags.writeable = False
+    return order
 
 
 def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray):
-    """Residuals e of the spectra map and their tangent Jacobian rows g.
+    """Residuals e of the spectra map and their tangent Jacobian rows g, per state.
 
-    With S the Pauli images of phi, the Bloch vectors are r = Re(S conj(phi))
-    and lambda = |r|/2.  A qubit with a nonzero target gives e_l = lambda_l - t_l
-    with row g_l = rhat_l . S_l (rhat = z where r = 0); a zero_mask qubit gives
-    the three components r_l/2 with rows S_l, which are smooth through the
-    spectral degeneracy.  Rows are projected off phi, so a tangent step delta
-    changes e_i by Re<g_i, delta> to first order; f = e.e is the objective.
+    ``amps`` is one amplitude vector or a stack (..., 2^L); e has shape
+    (..., m) and g (..., m, 2^L).  With S the Pauli images of phi, the Bloch
+    vectors are r = Re(S conj(phi)) and lambda = |r|/2.  A qubit with a
+    nonzero target gives e_l = lambda_l - t_l with row g_l = rhat_l . S_l
+    (rhat = z where r = 0); a zero_mask qubit gives the three components
+    r_l/2 with rows S_l, which are smooth through the spectral degeneracy.
+    Rows are projected off phi, so a tangent step delta changes e_i by
+    Re<g_i, delta> to first order; f = e.e is the objective.
     """
+    batch = amps.shape[:-1]
+    order = _residual_order(L, np.asarray(zero_mask, dtype=bool).tobytes())
     images = pauli_images(amps, L)
-    z = images @ amps.conj()
-    images = (images - np.outer(z, amps)).reshape(L, 3, -1)
-    r = z.real.reshape(L, 3)
-    norm = np.sqrt(np.einsum("ij,ij->i", r, r))
-    unit = r / np.where(norm > 0.0, norm, 1.0)[:, None]
-    unit[:, 2] += norm == 0.0
-    keep = ~zero_mask
-    e = np.concatenate([norm[keep] / 2.0 - target[keep], r[zero_mask].reshape(-1) / 2.0])
-    rows = np.concatenate([
-        (unit[keep, None, :] @ images[keep])[:, 0],
-        images[zero_mask].reshape(-1, images.shape[2]),
-    ])
+    z = (images @ amps.conj()[..., None])[..., 0]
+    images -= z[..., None] * amps[..., None, :]
+    r = z.real.reshape(batch + (L, 3))
+    norm = np.sqrt(np.einsum("...ij,...ij->...i", r, r))
+    unit = r / np.where(norm > 0.0, norm, 1.0)[..., None]
+    unit[..., 2] += norm == 0.0
+    along = (unit[..., None, :] @ images.reshape(batch + (L, 3, -1)))[..., 0, :]
+    e = np.concatenate([norm / 2.0 - target, z.real / 2.0], axis=-1)[..., order]
+    rows = np.concatenate([along, images], axis=-2)[..., order, :]
     return e, rows
 
 
-def _spectra_residual(state: PureState, target: np.ndarray) -> float:
-    return float(np.linalg.norm(psi_map(state).as_array() - target))
-
-
 def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray,
-             tol: float, max_iters: int) -> tuple[np.ndarray, float, int]:
-    """Damped Gauss-Newton (Levenberg-Marquardt) on the spectra residuals.
+             tol: float, max_iters: int, max_restarts: int = 0, rngs=None):
+    """Damped Gauss-Newton (Levenberg-Marquardt) on the spectra residuals of a stack of states.
 
-    A step solves (A + mu scale I) c = -e with A = Re(g conj(g)^T), moves
-    along delta = c . g and retracts onto the unit sphere.  It is kept
-    when f = e.e falls (then mu shrinks) and rejected otherwise (mu grows).
-    Returns the final amplitudes, their objective, and the number of
-    steps tried, accepted or not, which is below max_iters when the descent
-    converged or stopped early.
+    ``amps`` (n, 2^L) holds one start per row.  A step solves
+    (A + mu scale I) c = -e with A = Re(g conj(g)^T), moves along
+    delta = c . g and retracts onto the unit sphere.  It is kept when
+    f = e.e falls (then mu shrinks) and rejected otherwise (mu grows).
+    Each row has its own mu, accept test and stop test: its attempt ends
+    when f <= tol^2, when it is stationary away from the fiber or no step
+    lowers f, or after max_iters steps.  A row whose attempt ends above
+    tol draws a fresh Haar start from ``rngs[i]`` and rejoins the stack, up
+    to max_restarts times; a row that is done leaves the stack.
+
+    Returns per row the amplitudes of its lowest attempt end (the converged
+    one, if any), their objective, the steps tried over all attempts,
+    accepted or not, and the restarts used.
     """
+    amps = np.array(amps, dtype=np.complex128)
+    n, tol2 = len(amps), tol * tol
+    best, best_f = amps.copy(), [math.inf] * n
+    iterations, restarts = [0] * n, [0] * n
+    # per row of the stack: its input row, damping and steps in this attempt
+    live, mu, it = list(range(n)), [1e-3] * n, [0] * n
     e, g = _residuals_and_jacobian(amps, L, target, zero_mask)
-    f = float(e @ e)
-    mu = 1e-3
-    for it in range(max_iters):
-        if f <= tol * tol:
-            break
-        a = (g.conj() @ g.T).real
-        if e @ a @ e < 1e-32 or mu > 1e12:
-            break  # stationary away from the fiber, or no step lowers f: restart
-        scale = np.trace(a) / a.shape[0]
-        c = np.linalg.solve(a + mu * scale * np.eye(a.shape[0]), -e)
-        cand = amps + c @ g
-        cand /= np.linalg.norm(cand)
+    f = np.einsum("ij,ij->i", e, e)
+    eye = np.eye(e.shape[1])
+    while live:
+        gv = g.view(np.float64)  # A = Re(g conj(g)^T) is the real Gram matrix of the rows
+        a = gv @ gv.swapaxes(1, 2)
+        fs, slopes = f.tolist(), np.einsum("ki,kij,kj->k", e, a, e).tolist()
+        # converged, stationary away from the fiber, no step lowers f, or out of steps
+        stop = [fj <= tol2 or sj < 1e-32 or mj > 1e12 or tj == max_iters
+                for fj, sj, mj, tj in zip(fs, slopes, mu, it)]
+        if any(stop):
+            keep, redo = [], []
+            for j, i in enumerate(live):
+                if stop[j]:
+                    iterations[i] += it[j]
+                    if fs[j] < best_f[i]:
+                        best[i], best_f[i] = amps[j], fs[j]
+                    if fs[j] <= tol2 or restarts[i] == max_restarts:
+                        continue
+                    restarts[i] += 1
+                    redo.append(j)
+                keep.append(j)
+            if redo:
+                amps[redo] = [haar_state(L, rngs[live[j]]).amplitudes for j in redo]
+                e[redo], g[redo] = _residuals_and_jacobian(amps[redo], L, target, zero_mask)
+                f[redo] = np.einsum("ij,ij->i", e[redo], e[redo])
+                for j in redo:
+                    mu[j], it[j] = 1e-3, 0
+            live, mu, it = [live[j] for j in keep], [mu[j] for j in keep], [it[j] for j in keep]
+            amps, e, g, f = amps[keep], e[keep], g[keep], f[keep]
+            continue  # the rows that go on take their step in the next pass
+        scale = np.trace(a, axis1=1, axis2=2) / eye.shape[0]
+        c = np.linalg.solve(a + (np.array(mu) * scale)[:, None, None] * eye, -e[..., None])
+        cand = amps + (c.swapaxes(1, 2) @ gv)[:, 0].view(np.complex128)
+        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         e_cand, g_cand = _residuals_and_jacobian(cand, L, target, zero_mask)
-        f_cand = float(e_cand @ e_cand)
-        if f_cand < f:
+        f_cand = np.einsum("ij,ij->i", e_cand, e_cand)
+        down = (f_cand < f).tolist()
+        if all(down):
             amps, e, g, f = cand, e_cand, g_cand, f_cand
-            mu = max(mu / 10.0, 1e-12)
-        else:
-            mu *= 10.0
-    else:
-        it = max_iters
-    return amps, f, it
+        elif any(down):
+            took = [j for j, d in enumerate(down) if d]
+            amps[took], e[took] = cand[took], e_cand[took]
+            g[took], f[took] = g_cand[took], f_cand[took]
+        mu = [max(mj / 10.0, 1e-12) if d else mj * 10.0 for mj, d in zip(mu, down)]
+        it = [tj + 1 for tj in it]
+    return best, best_f, iterations, restarts
+
+
+def _int_at_least(value, low: int, what: str) -> int:
+    """The value as an int if it is an integer >= low; numpy integers pass, bools and floats not."""
+    _check_int(value, what)
+    if value < low:
+        raise ValidationError(f"{what} must be at least {low}, got {value}")
+    return int(value)
+
+
+def _admissible(target: SpectraPoint) -> StratumClass:
+    """The target's stratum; a target outside the admissible region is refused."""
+    if not membership(target).member:
+        raise ValidationError("target spectra lie outside the admissible region")
+    return classify(target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,49 +257,58 @@ def sample_fiber(
     ConvergenceError
         If no attempt reaches the tolerance; never returns a near-miss.
     """
+    seed = _int_at_least(seed, 0, "seed")
     _check_tolerance("residual tolerance", tol, math.inf)
-    if not membership(target).member:
-        raise ValidationError("target spectra lie outside the admissible region")
+    stratum = _admissible(target)
+    return _fiber_samples(target, stratum, [seed], tol, max_restarts, max_iters)[0][0]
+
+
+def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[int],
+                   tol: float, max_restarts: int, max_iters: int) -> list:
+    """One fiber sample per seed, all descended as one stack.
+
+    ``default_rng(seed)`` draws that row's exact or Haar start and its
+    restarts, so a row's sample does not depend on the other rows.  Each
+    sample is re-verified once through ``psi_map``; returns (sample, its
+    psi_map point) pairs in seed order.
+    """
     L = target.num_qubits
-    stratum = classify(target)
-    rng = np.random.default_rng(seed)
     t_arr = target.as_array()
-
-    start = _exact_start(stratum, target, rng)
-    if start is not None:
-        amps, method = start
-        state = PureState(L, amps)
-        residual = _spectra_residual(state, t_arr)
-        if residual <= tol:
-            return FiberSample(state, target, residual, 0, 0, seed, method)
-        # fall through to descent from this start
-    else:
-        method = "descent"
-        amps = haar_state(L, rng).amplitudes
-
-    zero_mask = np.zeros(L, dtype=bool)
-    for l in stratum.zero_qubits:
-        zero_mask[l - 1] = True
-
-    total_iters = 0
-    best = math.inf
-    for attempt in range(max_restarts + 1):
-        if attempt > 0:
-            amps = haar_state(L, rng).amplitudes
-        amps, _, iters = _descend(np.array(amps), L, t_arr, zero_mask, tol, max_iters)
-        total_iters += iters
-        state = PureState(L, amps)
-        residual = _spectra_residual(state, t_arr)
-        if residual <= tol:
-            return FiberSample(state, target, residual, total_iters, attempt, seed, "descent")
-        best = min(best, residual)
-    raise ConvergenceError(
-        f"fiber sampling did not reach residual {tol:g} after {max_restarts} restarts "
-        f"(best residual {best:.3e})"
-    )
+    zero_mask = np.array([l in stratum.zero_qubits for l in range(1, L + 1)])
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    starts = [_exact_start(stratum, target, rng) for rng in rngs]
+    amps = np.array([haar_state(L, rng).amplitudes if start is None else start[0]
+                     for start, rng in zip(starts, rngs)])
+    amps, f, iterations, restarts = _descend(
+        amps, L, t_arr, zero_mask, tol, max_iters, max_restarts, rngs)
+    out = []
+    for i, seed in enumerate(seeds):
+        state = PureState(L, amps[i])
+        achieved = psi_map(state)
+        residual = float(np.linalg.norm(achieved.as_array() - t_arr))
+        if f[i] > tol * tol:
+            raise ConvergenceError(
+                f"fiber sampling did not reach residual {tol:g} after {max_restarts} restarts "
+                f"(best residual {residual:.3e})"
+            )
+        if residual > tol:
+            raise ConvergenceError(
+                f"fiber sample failed re-verification (spectra distance {residual:.3e})"
+            )
+        exact = starts[i] is not None and iterations[i] == 0 and restarts[i] == 0
+        method = starts[i][1] if exact else "descent"
+        sample = FiberSample(state, target, residual, iterations[i], restarts[i], seed, method)
+        out.append((sample, achieved))
+    return out
 
 
 # --- momentum differential ---------------------------------------------------
+
+
+def _dmu_matrices(amps: np.ndarray, L: int) -> np.ndarray:
+    """The momentum differential (2^{L+1}, 3L) at one state, or at each state of a stack."""
+    _, rows = _residuals_and_jacobian(amps, L, np.zeros(L), np.ones(L, dtype=bool))
+    return 2.0 * np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
 
 
 def momentum_differential_matrix(state: PureState) -> np.ndarray:
@@ -238,9 +321,14 @@ def momentum_differential_matrix(state: PureState) -> np.ndarray:
     i*phi, so rank and nonzero singular values are those of dmu on the
     projective tangent space, with no tangent frame built.
     """
-    L = state.num_qubits
-    _, rows = _residuals_and_jacobian(state.amplitudes, L, np.zeros(L), np.ones(L, dtype=bool))
-    return 2.0 * np.concatenate([rows.real, rows.imag], axis=1).T
+    return _dmu_matrices(state.amplitudes, state.num_qubits)
+
+
+def _sv_gap(svals: np.ndarray, rank: int) -> float:
+    """Ratio of the smallest kept to the largest dropped singular value."""
+    kept = svals[rank - 1] if rank > 0 else math.inf
+    dropped = svals[rank] if rank < svals.size else 0.0
+    return math.inf if dropped == 0.0 else float(kept / dropped)
 
 
 @dataclass(frozen=True)
@@ -254,10 +342,7 @@ class DmuReport:
 def momentum_rank_report(state: PureState, rank_tol: float = RANK_TOL) -> DmuReport:
     matrix = momentum_differential_matrix(state)
     rank, svals, shaky = _rank_and_svals(matrix, rank_tol)
-    kept = svals[rank - 1] if rank > 0 else math.inf
-    dropped = svals[rank] if rank < svals.size else 0.0
-    gap = math.inf if dropped == 0.0 else float(kept / dropped)
-    return DmuReport(rank, tuple(float(s) for s in svals), gap, shaky)
+    return DmuReport(rank, tuple(float(s) for s in svals), _sv_gap(svals, rank), shaky)
 
 
 def rank_dmu(state: PureState, rank_tol: float = RANK_TOL) -> int:
@@ -316,31 +401,35 @@ class NumericDimEstimate:
         }
 
 
-def _one_sample(target: SpectraPoint, seed: int, tol: float, rank_tol: float,
-                dim_k_alpha: int, dim_proj: int, num_qubits: int) -> SampleAudit:
-    sample = sample_fiber(target, seed=seed, tol=tol)
-    # independent re-verification through the marginal-spectra path
-    achieved = psi_map(sample.state)
-    off = float(np.linalg.norm(achieved.as_array() - target.as_array()))
-    if not membership(achieved).member or off > tol:
-        raise ConvergenceError(
-            f"fiber sample failed re-verification (spectra distance {off:.3e})"
-        )
-    report = momentum_rank_report(sample.state, rank_tol=rank_tol)
-    iso = orbit_dimensions(sample.state, rank_tol=rank_tol).dim_isotropy_algebra
-    estimate = (dim_proj - report.rank) - (dim_k_alpha - iso)
-    regular = report.rank == 3 * num_qubits - iso and not report.ill_conditioned
-    return SampleAudit(
-        seed=seed,
-        rank_dmu=report.rank,
-        dim_isotropy=iso,
-        estimate=estimate,
-        residual=sample.residual,
-        sv_gap=report.gap,
-        regular=regular,
-        iterations=sample.iterations,
-        restarts=sample.restarts,
-    )
+def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float,
+            rank_tol: float, dim_k_alpha: int, dim_proj: int) -> list:
+    """Audits of the seeds' samples, drawn as one stack; one SVD call per rank family."""
+    L = target.num_qubits
+    pairs = _fiber_samples(target, stratum, seeds, tol, MAX_RESTARTS, MAX_ITERS)
+    for sample, achieved in pairs:
+        if not membership(achieved).member:
+            raise ConvergenceError(
+                f"fiber sample failed re-verification (spectra distance {sample.residual:.3e})"
+            )
+    amps = np.stack([sample.state.amplitudes for sample, _ in pairs])
+    ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L), rank_tol)
+    compact = _real_columns(_generator_actions(amps, L)[..., :3, :])
+    k_ranks, _, _ = _rank_and_svals(compact, rank_tol)
+    audits = []
+    for (sample, _), rank, sv, ill, k_rank in zip(pairs, ranks, svals, shaky, k_ranks):
+        iso = 3 * L - k_rank
+        audits.append(SampleAudit(
+            seed=sample.seed,
+            rank_dmu=rank,
+            dim_isotropy=iso,
+            estimate=(dim_proj - rank) - (dim_k_alpha - iso),
+            residual=sample.residual,
+            sv_gap=_sv_gap(sv, rank),
+            regular=rank == 3 * L - iso and not ill,
+            iterations=sample.iterations,
+            restarts=sample.restarts,
+        ))
+    return audits
 
 
 def numeric_dim(
@@ -372,11 +461,12 @@ def numeric_dim(
     """
     _check_tolerance("residual tolerance", tol, math.inf)
     _check_tolerance("rank tolerance", rank_tol, 1.0)
-    if n_samples < 1:
-        raise ValidationError(f"n_samples must be at least 1, got {n_samples}")
-    if not membership(target).member:
-        raise ValidationError("target spectra lie outside the admissible region")
-    stratum = classify(target)
+    n_samples = _int_at_least(n_samples, 1, "n_samples")
+    seeds = range(n_samples) if seeds is None else seeds
+    seeds = [_int_at_least(s, 0, "seed") for s in seeds]
+    if len(seeds) != n_samples:
+        raise ValidationError(f"expected {n_samples} seeds, got {len(seeds)}")
+    stratum = _admissible(target)
     if stratum.k_half > 0 or stratum.tight_walls:
         raise ValidationError(
             "singular value of mu: use case-specific certificate reductions "
@@ -386,13 +476,11 @@ def numeric_dim(
     L = target.num_qubits
     dim_proj = 2 ** (L + 1) - 2
     dim_k_alpha = sum(3 if l in stratum.zero_qubits else 1 for l in range(1, L + 1))
-    if seeds is None:
-        seeds = range(n_samples)
-    seeds = [int(s) for s in seeds]
-    if len(seeds) != n_samples:
-        raise ValidationError(f"expected {n_samples} seeds, got {len(seeds)}")
-
-    audits = [_one_sample(target, s, tol, rank_tol, dim_k_alpha, dim_proj, L) for s in seeds]
+    per_stack = max(1, STACK_ENTRIES // (3 * L * 2**L))
+    audits = []
+    for first in range(0, n_samples, per_stack):
+        audits += _audits(target, stratum, seeds[first:first + per_stack], tol, rank_tol,
+                          dim_k_alpha, dim_proj)
 
     estimates = {a.estimate for a in audits}
     regular = all(a.regular for a in audits)

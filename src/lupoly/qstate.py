@@ -101,6 +101,26 @@ class PureState:
         return self.amplitudes.size
 
 
+def _check_density_blocks(blocks: np.ndarray) -> list[float]:
+    """Check a stack (L, 2, 2) of one-qubit density matrices; returns the r of each.
+
+    Each block must be Hermitian, of trace 1, and have both eigenvalues
+    1/2 -+ r in [0, 1], all within MATRIX_TOL.  The stack is read once as
+    Python numbers, which for L <= MAX_QUBITS beats array operations.
+    """
+    radii = []
+    for (a, b), (c, d) in blocks.tolist():
+        if max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(b - c.conjugate())) > MATRIX_TOL:
+            raise ValidationError("reduced matrix is not Hermitian within tolerance")
+        if abs(a.real + d.real - 1.0) > MATRIX_TOL:
+            raise ValidationError("reduced matrix trace differs from 1")
+        r = math.hypot((a.real - d.real) / 2.0, abs(b))
+        if 0.5 - r < -MATRIX_TOL or 0.5 + r > 1.0 + MATRIX_TOL:
+            raise ValidationError("reduced matrix has an eigenvalue outside [0, 1]")
+        radii.append(r)
+    return radii
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix2:
     """One-qubit density matrix: Hermitian, trace 1, PSD (all within MATRIX_TOL)."""
@@ -111,52 +131,51 @@ class DensityMatrix2:
         m = np.asarray(self.matrix, dtype=np.complex128)
         if m.shape != (2, 2):
             raise ValidationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        if np.abs(m - m.conj().T).max() > MATRIX_TOL:
-            raise ValidationError("reduced matrix is not Hermitian within tolerance")
-        if abs(m[0, 0].real + m[1, 1].real - 1.0) > MATRIX_TOL:
-            raise ValidationError("reduced matrix trace differs from 1")
-        a = (m[0, 0].real - m[1, 1].real) / 2.0
-        r = math.hypot(a, abs(m[0, 1]))
-        if 0.5 - r < -MATRIX_TOL or 0.5 + r > 1.0 + MATRIX_TOL:
-            raise ValidationError("reduced matrix has an eigenvalue outside [0, 1]")
+        _check_density_blocks(m[None])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def eigenvalues(self) -> tuple[float, float]:
         """(smaller, larger) eigenvalue, via the closed form for 2x2 Hermitian."""
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        a = (m[0, 0].real - m[1, 1].real) / 2.0
-        r = math.hypot(a, abs(m[0, 1]))
+        r = _check_density_blocks(self.matrix[None])[0]
         return 0.5 - r, 0.5 + r
 
     def shifted(self) -> np.ndarray:
         """Traceless part rho - I/2."""
-        return np.asarray(self.matrix) - np.eye(2) / 2.0
+        return self.matrix - np.eye(2) / 2.0
+
+
+def _marginal(amps: np.ndarray, num_qubits: int, l: int, out: np.ndarray | None = None):
+    """Unchecked partial trace onto slot l (1-based): X X^H with X the (2, 2^{L-1}) slot-l rows."""
+    x = amps.reshape(2 ** (l - 1), 2, 2 ** (num_qubits - l)).swapaxes(0, 1).reshape(2, -1)
+    return np.matmul(x, x.conj().T, out=out)
+
+
+def _marginals(state: PureState) -> tuple[np.ndarray, list[float]]:
+    """All L one-qubit reductions, shape (L, 2, 2), checked at once; and the r of each."""
+    L = state.num_qubits
+    blocks = np.empty((L, 2, 2), dtype=np.complex128)
+    for l in range(1, L + 1):
+        _marginal(state.amplitudes, L, l, out=blocks[l - 1])
+    return blocks, _check_density_blocks(blocks)
 
 
 def reduce_one_qubit(state: PureState, l: int) -> DensityMatrix2:
     """Partial trace onto qubit l (1-based), discarding all other qubits."""
-    L = state.num_qubits
-    check_qubit_index(l, L, "qubit index")
-    t = state.amplitudes.reshape((2,) * L)
-    other_axes = tuple(i for i in range(L) if i != l - 1)
-    return DensityMatrix2(np.tensordot(t, t.conj(), axes=(other_axes, other_axes)))
+    check_qubit_index(l, state.num_qubits, "qubit index")
+    return DensityMatrix2(_marginal(state.amplitudes, state.num_qubits, l))
 
 
 def momentum_map(state: PureState) -> np.ndarray:
     """Read-only (L, 2, 2) array whose entry l-1 is the traceless Hermitian block rho_l - I/2."""
-    mu = np.stack([reduce_one_qubit(state, l).shifted() for l in range(1, state.num_qubits + 1)])
+    mu = _marginals(state)[0] - np.eye(2) / 2.0
     mu.flags.writeable = False
     return mu
 
 
 def psi_map(state: PureState) -> SpectraPoint:
     """Shifted spectra lambda_l = 1/2 - min eig(rho_l), clamped to [0, 1/2]."""
-    lams = []
-    for l in range(1, state.num_qubits + 1):
-        p_small, _ = reduce_one_qubit(state, l).eigenvalues()
-        lams.append(min(max(0.5 - p_small, 0.0), 0.5))
-    return SpectraPoint(tuple(lams))
+    return SpectraPoint(tuple(min(max(0.5 - (0.5 - r), 0.0), 0.5) for r in _marginals(state)[1]))
 
 
 def purity_invariants(state: PureState) -> np.ndarray:
@@ -165,11 +184,7 @@ def purity_invariants(state: PureState) -> np.ndarray:
     Satisfies tr rho_l^2 = 1/2 + 2 lambda_l^2, which ties the quadratic
     invariants to the spectra coordinates.
     """
-    out = np.empty(state.num_qubits)
-    for l in range(1, state.num_qubits + 1):
-        m = np.asarray(reduce_one_qubit(state, l).matrix)
-        out[l - 1] = float(np.sum(np.abs(m) ** 2).real)
-    return out
+    return (np.abs(_marginals(state)[0]) ** 2).sum(axis=(1, 2))
 
 
 def _check_special_unitary(g: np.ndarray) -> None:
@@ -185,34 +200,43 @@ def _check_special_unitary(g: np.ndarray) -> None:
 def apply_slot_operator(amps: np.ndarray, op: np.ndarray, num_qubits: int, l: int) -> np.ndarray:
     """Apply a single-qubit operator, or a stack (..., 2, 2) of them, at slot l (1-based).
 
-    Returns the images of the amplitude vector, shape (..., 2^L): one per stacked operator.
+    ``amps`` is one amplitude vector or a stack (B..., 2^L) of them.  Returns
+    the images, shape B + op.shape[:-2] + (2^L,): one per state and stacked operator.
     """
-    t = amps.reshape((2,) * num_qubits)
-    out = np.tensordot(op, t, axes=([-1], [l - 1]))  # (..., 2, other slots)
-    return np.moveaxis(out, op.ndim - 2, op.ndim + l - 3).reshape(op.shape[:-2] + (-1,))
+    batch = amps.shape[:-1]
+    t = amps.reshape(batch + (2,) * num_qubits)
+    out = np.tensordot(op, t, axes=([-1], [len(batch) + l - 1]))  # (ops..., 2, B..., other slots)
+    b, k = len(batch), op.ndim - 2
+    out = np.moveaxis(out, range(k + 1), [*range(b, b + k), b + k + l - 1])
+    return out.reshape(batch + op.shape[:-2] + (-1,))
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
-def _slot_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per slot l: the index with bit l flipped, and +1/-1 for bit l = 0/1 (read-only)."""
+def _pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index and factor, shape (3L, 2^L): sigma_k at slot l maps phi to factor * phi[index].
+
+    For slot l let flip be the index with bit l flipped and s = +1/-1 for bit
+    l = 0/1 (slot 1 is the top bit): sigma_x phi = phi[flip], sigma_y phi =
+    -i s phi[flip], sigma_z phi = s phi.  Both arrays are read-only.
+    """
     index = np.arange(2**num_qubits)
-    bit = (1 << (num_qubits - 1 - np.arange(num_qubits)))[:, None]  # slot 1 is the top bit
+    bit = (1 << (num_qubits - 1 - np.arange(num_qubits)))[:, None]
     flip, sign = index ^ bit, np.where(index & bit, -1.0, 1.0)
-    flip.flags.writeable = sign.flags.writeable = False
-    return flip, sign
+    gather = np.stack([flip, flip, np.broadcast_to(index, flip.shape)], axis=1)
+    factor = np.stack([np.ones_like(sign), -1j * sign, sign], axis=1).astype(np.complex128)
+    gather, factor = gather.reshape(3 * num_qubits, -1), factor.reshape(3 * num_qubits, -1)
+    gather.flags.writeable = factor.flags.writeable = False
+    return gather, factor
 
 
 def pauli_images(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """(3L, 2^L) array whose row 3(l-1)+k is sigma_k applied at slot l, k = x, y, z.
+    """(..., 3L, 2^L) array whose row 3(l-1)+k is sigma_k applied at slot l, k = x, y, z.
 
-    sigma_x is a gather, sigma_z a sign multiply, sigma_y = -i sign sigma_x.
+    ``amps`` is one amplitude vector or a stack (..., 2^L) of them; each
+    image is one gather and one multiply by a cached table.
     """
-    flip, sign = _slot_tables(num_qubits)
-    out = np.empty((num_qubits, 3, amps.size), dtype=np.complex128)
-    out[:, 0] = amps[flip]
-    out[:, 1] = -1j * sign * out[:, 0]
-    out[:, 2] = sign * amps
-    return out.reshape(3 * num_qubits, -1)
+    gather, factor = _pauli_tables(num_qubits)
+    return amps[..., gather] * factor
 
 
 def apply_local_unitary(state: PureState, g: Sequence[np.ndarray]) -> PureState:

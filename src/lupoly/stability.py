@@ -54,19 +54,19 @@ class OrbitReport:
         }
 
 
-def _generator_actions(state: PureState) -> np.ndarray:
-    """(L, 6, 2^L): entry [l-1, k] is GENERATORS[k] at slot l applied to the state,
-    projected off the complex line through the state."""
-    L, phi = state.num_qubits, state.amplitudes
-    check_qubit_count(L, 1, "the orbit ranks")
-    w = np.stack([apply_slot_operator(phi, GENERATORS, L, l) for l in range(1, L + 1)])
-    return w - (w @ phi.conj())[..., None] * phi
+def _generator_actions(amps: np.ndarray, num_qubits: int) -> np.ndarray:
+    """(B..., L, 6, 2^L) for amplitudes (B..., 2^L): entry [..., l-1, k] is GENERATORS[k]
+    at slot l applied to the state, projected off the complex line through the state."""
+    check_qubit_count(num_qubits, 1, "the orbit ranks")
+    w = np.stack([apply_slot_operator(amps, GENERATORS, num_qubits, l)
+                  for l in range(1, num_qubits + 1)], axis=-3)
+    return w - (w @ amps.conj()[..., None, :, None]) * amps[..., None, None, :]
 
 
 def _real_columns(actions: np.ndarray) -> np.ndarray:
-    """Real columns [Re; Im] of (k, 3, 2^L) actions, slot-major: column 3(l-1)+k."""
-    rows = actions.reshape(-1, actions.shape[-1])
-    return np.concatenate([rows.real, rows.imag], axis=1).T
+    """Real columns [Re; Im] of (B..., k, 3, 2^L) actions, slot-major: column 3(l-1)+k."""
+    rows = actions.reshape(actions.shape[:-3] + (-1, actions.shape[-1]))
+    return np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
 
 
 def _check_tolerance(name: str, value: float, high: float) -> None:
@@ -74,16 +74,19 @@ def _check_tolerance(name: str, value: float, high: float) -> None:
         raise ValidationError(f"{name} must be a finite number in (0, {high:g}), got {value}")
 
 
-def _rank_and_svals(cols: np.ndarray, rank_tol: float) -> tuple[int, np.ndarray, bool]:
+def _rank_and_svals(cols: np.ndarray, rank_tol: float) -> tuple:
+    """Rank, singular values and conditioning flag of a matrix, or of each in a stack (B..., m, n).
+
+    The rank counts singular values above rank_tol times the largest; the flag
+    is set when one lies within ILL_CONDITION_BAND of that cut.  For a stack the
+    ranks and flags are nested lists of shape B, from one SVD call.
+    """
     _check_tolerance("rank tolerance", rank_tol, 1.0)
     svals = np.linalg.svd(cols, compute_uv=False)
-    top = svals[0] if svals.size else 0.0
-    if top == 0.0:
-        return 0, svals, False
-    cut = rank_tol * top
-    rank = int((svals > cut).sum())
-    shaky = bool(np.any((svals > cut / ILL_CONDITION_BAND) & (svals < cut * ILL_CONDITION_BAND)))
-    return rank, svals, shaky
+    cut = rank_tol * svals[..., :1]
+    rank = (svals > cut).sum(axis=-1)
+    shaky = ((svals > cut / ILL_CONDITION_BAND) & (svals < cut * ILL_CONDITION_BAND)).any(axis=-1)
+    return rank.tolist(), svals, shaky.tolist()
 
 
 def orbit_dimensions(state: PureState, rank_tol: float = RANK_TOL) -> OrbitReport:
@@ -95,7 +98,7 @@ def orbit_dimensions(state: PureState, rank_tol: float = RANK_TOL) -> OrbitRepor
     isotropy algebra.  Ranks are singular-value counts above
     rank_tol times the top singular value.
     """
-    actions = _generator_actions(state)
+    actions = _generator_actions(state.amplitudes, state.num_qubits)
     k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3]), rank_tol)
     complex_cols = actions[:, 3:].reshape(-1, state.dim).T
     g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols, rank_tol)
@@ -199,7 +202,7 @@ def verify_stable(
         dev = max(dev, float(np.abs(rho - half_eye).max()))
     reductions_ok = dev <= REDUCTION_TOL
 
-    k1_actions = _generator_actions(state)[:k1, :3]
+    k1_actions = _generator_actions(state.amplitudes, L)[:k1, :3]
     k1_rank, _, _ = _rank_and_svals(_real_columns(k1_actions), rank_tol)
 
     orbit = orbit_dimensions(state, rank_tol=rank_tol)

@@ -21,6 +21,7 @@ from lupoly import (
     numeric_dim,
     orbit_dimensions,
     psi_map,
+    random_interior_point,
     random_wall_point,
     rank_dmu,
     sample_fiber,
@@ -28,7 +29,7 @@ from lupoly import (
 )
 from lupoly import fiberlab
 from lupoly.qstate import MAX_QUBITS, apply_slot_operator, pauli_images
-from lupoly.stability import PAULIS
+from lupoly.stability import PAULIS, RANK_TOL, _generator_actions, _rank_and_svals, _real_columns
 
 INTERIOR3 = SpectraPoint((0.1, 0.2, 0.15))
 WALL_SLACKS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 2e-9)
@@ -114,6 +115,15 @@ def assert_dmu_matches_reference(state):
     assert np.all(got_s[ref_s.size:] <= 1e-12)  # the one extra value at L = 1
 
 
+def refuse_sampling(monkeypatch):
+    """Make every way into the sampler raise, so a check must come first."""
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    for name in ("_exact_start", "haar_state", "_descend"):
+        monkeypatch.setattr(fiberlab, name, no_sampling)
+
+
 def ghz_state(L):
     amps = np.zeros(2**L, dtype=np.complex128)
     amps[0] = amps[-1] = 1 / math.sqrt(2)
@@ -189,6 +199,71 @@ class TestPauliImageKernel:
         assert_dmu_matches_reference(state)
 
 
+class TestStackedKernel:
+    """The descent and the rank layer run on a stack (n, 2^L), one row per sample."""
+
+    @staticmethod
+    def descend_rows(starts, L, target, zero_mask, seeds):
+        rngs = [np.random.default_rng(s) for s in seeds]
+        return fiberlab._descend(starts, L, target, zero_mask, 1e-10, fiberlab.MAX_ITERS,
+                                 fiberlab.MAX_RESTARTS, rngs)
+
+    def assert_rows_match_one_row_runs(self, starts, L, target, zero_mask, seeds):
+        amps, f, iterations, restarts = self.descend_rows(starts, L, target, zero_mask, seeds)
+        assert max(f) <= 1e-20
+        for i, seed in enumerate(seeds):
+            one = self.descend_rows(starts[i:i + 1], L, target, zero_mask, [seed])
+            assert (iterations[i], restarts[i]) == (one[2][0], one[3][0])
+            assert np.allclose(amps[i], one[0][0], rtol=0, atol=1e-12)
+        return iterations, restarts
+
+    @pytest.mark.parametrize("masked", (False, True), ids=("plain", "zero-mask"))
+    @pytest.mark.parametrize("L", (3, 4, 5, 6))
+    def test_rows_match_the_one_row_path(self, L, masked):
+        rng = np.random.default_rng(90 + L)
+        target = random_interior_point(L, rng).as_array()
+        zero_mask = np.zeros(L, dtype=bool)
+        if masked:
+            zero_mask[:2] = True
+            target[:2] = 0.0
+        seeds = list(range(6))
+        starts = np.stack([haar_state(L, np.random.default_rng(s)).amplitudes for s in seeds])
+        self.assert_rows_match_one_row_runs(starts, L, target, zero_mask, seeds)
+
+    def test_one_row_restarts_while_the_others_converge(self):
+        # a product state is a critical point, so row 0 restarts from its own generator
+        L, target = 3, INTERIOR3.as_array()
+        starts = np.stack([PureState.basis(L, 0).amplitudes]
+                          + [haar_state(L, np.random.default_rng(s)).amplitudes for s in (1, 2)])
+        _, restarts = self.assert_rows_match_one_row_runs(
+            starts, L, target, np.zeros(L, dtype=bool), [0, 1, 2])
+        assert restarts == [1, 0, 0]
+
+    @pytest.mark.parametrize("lams", ((0.3, 0.3), (0.0, 0.0)))
+    def test_two_qubit_targets_need_no_steps(self, lams):
+        target = SpectraPoint(lams)
+        estimate = numeric_dim(target, n_samples=3)
+        assert estimate.status == "ok" and estimate.dim_estimate == 0
+        assert [(a.iterations, a.restarts) for a in estimate.samples] == [(0, 0)] * 3
+        sample = sample_fiber(target, seed=4)
+        assert (sample.method, sample.iterations, sample.restarts) == ("schmidt", 0, 0)
+
+    @pytest.mark.parametrize("L", range(3, 9))
+    def test_stacked_ranks_match_the_per_state_ranks(self, L):
+        states = [haar_state(L, np.random.default_rng(L)), PureState.basis(L, 5), ghz_state(L)]
+        if L >= 4:
+            states.append(stable_state(L))
+        amps = np.stack([s.amplitudes for s in states])
+        ranks, svals, shaky = _rank_and_svals(fiberlab._dmu_matrices(amps, L), RANK_TOL)
+        compact = _real_columns(_generator_actions(amps, L)[..., :3, :])
+        k_ranks, _, _ = _rank_and_svals(compact, RANK_TOL)
+        for i, state in enumerate(states):
+            report = momentum_rank_report(state)
+            assert (ranks[i], shaky[i]) == (report.rank, report.ill_conditioned)
+            assert np.allclose(svals[i], report.singular_values, rtol=0, atol=1e-12)
+            assert k_ranks[i] == orbit_dimensions(state).dim_K_orbit
+
+
 class TestSampleFiber:
     def test_interior_target_reached(self):
         sample = sample_fiber(INTERIOR3, seed=3)
@@ -241,31 +316,36 @@ class TestSampleFiber:
 
     @pytest.mark.parametrize("tol", (-1.0, 0.0, math.nan, math.inf))
     def test_bad_tolerance_refused_before_sampling(self, tol, monkeypatch):
-        def no_sampling(*args, **kwargs):
-            raise AssertionError("sampling started")
-
-        monkeypatch.setattr(fiberlab, "_exact_start", no_sampling)
-        monkeypatch.setattr(fiberlab, "haar_state", no_sampling)
+        refuse_sampling(monkeypatch)
         with pytest.raises(ValidationError, match="residual tolerance"):
             sample_fiber(INTERIOR3, tol=tol)
+
+    @pytest.mark.parametrize("seed", (-1, 1.5, True, "3"))
+    def test_bad_seed_refused_before_sampling(self, seed, monkeypatch):
+        refuse_sampling(monkeypatch)
+        with pytest.raises(ValidationError, match="seed must be"):
+            sample_fiber(INTERIOR3, seed=seed)
 
     def test_gives_up_honestly(self):
         with pytest.raises(ConvergenceError):
             sample_fiber(INTERIOR3, seed=0, max_iters=1, max_restarts=0)
 
     def test_failure_reports_best_residual(self, monkeypatch):
-        # three staged attempts of known residual, the best one in the middle
+        # three staged Haar starts of known residual, the best one in the middle;
+        # with no steps allowed every attempt ends at its start
         target = INTERIOR3.as_array()
         rng = np.random.default_rng(0)
-        staged = sorted((haar_state(3, rng) for _ in range(3)),
-                        key=lambda s: fiberlab._spectra_residual(s, target))
+
+        def residual(state):
+            return np.linalg.norm(psi_map(state).as_array() - target)
+
+        staged = sorted((haar_state(3, rng) for _ in range(3)), key=residual)
         staged = [staged[1], staged[0], staged[2]]
-        residuals = [f"{fiberlab._spectra_residual(s, target):.3e}" for s in staged]
+        residuals = [f"{residual(s):.3e}" for s in staged]
         attempts = iter(staged)
-        monkeypatch.setattr(fiberlab, "_descend",
-                            lambda *args: (next(attempts).amplitudes, 1.0, 7))
+        monkeypatch.setattr(fiberlab, "haar_state", lambda L, rng: next(attempts))
         with pytest.raises(ConvergenceError) as exc:
-            sample_fiber(INTERIOR3, seed=0, max_restarts=2)
+            sample_fiber(INTERIOR3, seed=0, max_restarts=2, max_iters=0)
         assert next(attempts, None) is None
         assert len(set(residuals)) == 3
         assert f"(best residual {residuals[1]})" in str(exc.value)
@@ -293,7 +373,7 @@ class TestSampleFiber:
                 rng.normal(size=8) + 1j * rng.normal(size=8))
             start /= np.linalg.norm(start)
             objectives = [
-                fiberlab._descend(start.copy(), 3, target, np.zeros(3, dtype=bool), 1e-10, n)[1]
+                fiberlab._descend(start[None], 3, target, np.zeros(3, dtype=bool), 1e-10, n)[1][0]
                 for n in range(8)
             ]
             assert objectives == sorted(objectives, reverse=True)
@@ -319,12 +399,12 @@ class TestSampleFiber:
 
     def test_early_stop_counts_iterations_done(self):
         # a product state is a critical point: its Jacobian rows vanish
-        amps = PureState.basis(3, 0).amplitudes.copy()
-        _, f, iterations = fiberlab._descend(
+        amps = PureState.basis(3, 0).amplitudes[None]
+        _, f, iterations, restarts = fiberlab._descend(
             amps, 3, INTERIOR3.as_array(), np.zeros(3, dtype=bool), 1e-10, 500
         )
-        assert iterations == 0
-        assert f > 0.1
+        assert (iterations[0], restarts[0]) == (0, 0)
+        assert f[0] > 0.1
 
 
 class TestMomentumDifferential:
@@ -417,10 +497,7 @@ class TestNumericDim:
         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()),
     )
     def test_bad_tolerances_refused_before_sampling(self, kwargs, monkeypatch):
-        def no_sampling(*args, **kw):
-            raise AssertionError("sampling started")
-
-        monkeypatch.setattr(fiberlab, "sample_fiber", no_sampling)
+        refuse_sampling(monkeypatch)
         with pytest.raises(ValidationError, match="tolerance must be a finite number"):
             numeric_dim(INTERIOR3, n_samples=2, **kwargs)
 
@@ -429,6 +506,25 @@ class TestNumericDim:
             numeric_dim(INTERIOR3, n_samples=3, seeds=[1, 2])
         with pytest.raises(ValidationError, match="n_samples must be at least 1, got 0"):
             numeric_dim(INTERIOR3, n_samples=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        (({"n_samples": 1, "seeds": [1.7]}, "seed must be an integer"),
+         ({"n_samples": 1, "seeds": [True]}, "seed must be an integer"),
+         ({"n_samples": 1, "seeds": [-1]}, "seed must be at least 0"),
+         ({"n_samples": True}, "n_samples must be an integer"),
+         ({"n_samples": 2.0}, "n_samples must be an integer")),
+        ids=("float-seed", "bool-seed", "negative-seed", "bool-count", "float-count"),
+    )
+    def test_bad_seeds_and_counts_refused_before_sampling(self, kwargs, message, monkeypatch):
+        refuse_sampling(monkeypatch)
+        with pytest.raises(ValidationError, match=message):
+            numeric_dim(INTERIOR3, **kwargs)
+
+    def test_numpy_integer_seeds_accepted(self):
+        estimate = numeric_dim(INTERIOR3, n_samples=np.int64(2), seeds=np.array([7, 9]))
+        assert [a.seed for a in estimate.samples] == [7, 9]
+        assert all(type(a.seed) is int for a in estimate.samples)
 
     def test_sample_audits_recorded(self):
         estimate = numeric_dim(INTERIOR3, n_samples=2, seeds=[7, 9])

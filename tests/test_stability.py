@@ -60,7 +60,7 @@ def reference_states():
 class TestGenerators:
     def test_counts_and_slots(self):
         assert GENERATORS.shape == (6, 2, 2) and not GENERATORS.flags.writeable
-        actions = _generator_actions(haar_state(4, np.random.default_rng(3)))
+        actions = _generator_actions(haar_state(4, np.random.default_rng(3)).amplitudes, 4)
         assert actions.shape == (4, 6, 16)
         cols = _real_columns(actions[:, :3])
         assert cols.shape == (32, 12)
@@ -85,7 +85,7 @@ class TestGenerators:
             moved = apply_slot_operator(zero.amplitudes, GENERATORS[2], 3, l)
             assert np.allclose(moved, 1j * zero.amplitudes)
         # a pure phase projects to zero, so i*sigma_z lands in the isotropy algebra
-        assert np.abs(_generator_actions(zero)[:, 2]).max() == 0.0
+        assert np.abs(_generator_actions(zero.amplitudes, 3)[:, 2]).max() == 0.0
 
     def test_qubit_count_bounds(self):
         amps = np.full(2 ** (MAX_QUBITS + 1), 2 ** (-(MAX_QUBITS + 1) / 2), dtype=np.complex128)

@@ -77,3 +77,44 @@ def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
     assert report["exact"] == [0] * len(EXACT)
     assert report["numpy"] is False
     assert report["numeric"] == [0] * len(numeric)
+
+
+# Runs one numeric subcommand through cli.main and reports the BLAS thread
+# variables numpy was imported under.
+BLAS_CHILD = """
+import contextlib, io, json, os, sys
+from lupoly import cli
+
+before = "numpy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["sample-fiber", "--lambda", "0.1,0.2,0.15"])
+keys = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+env = {key: os.environ.get(key) for key in keys}
+after = "numpy" in sys.modules
+print(json.dumps({"code": code, "numpy_before": before, "numpy_after": after, "env": env}))
+"""
+
+
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_report(**preset: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+    env.update(preset, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_CHILD], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["code"] == 0
+    assert (report["numpy_before"], report["numpy_after"]) == (False, True)
+    return report["env"]
+
+
+def test_cli_defaults_to_one_blas_thread():
+    assert _blas_report() == dict.fromkeys(BLAS_VARIABLES, "1")
+
+
+def test_cli_keeps_a_blas_thread_count_the_user_set():
+    env = _blas_report(OPENBLAS_NUM_THREADS="2", OMP_NUM_THREADS="3")
+    assert env == {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": "1"}
