@@ -19,6 +19,7 @@ test and restarts, and ``sample_fiber`` is the one-row case.  Each
 sample is re-verified once through ``psi_map`` (a partial trace, not the
 Pauli images the descent uses), and the dmu and orbit ranks of a stack
 come from one SVD call each; the orbit ranks use ``apply_slot_operator``.
+MAX_ITERS and MAX_RESTARTS bound every descent; no entry point takes them.
 """
 
 from __future__ import annotations
@@ -226,13 +227,7 @@ def _exact_start(stratum: StratumClass, target: SpectraPoint,
     return full.reshape(-1), "product"
 
 
-def sample_fiber(
-    target: SpectraPoint,
-    seed: int = 0,
-    tol: float = FIBER_TOL,
-    max_restarts: int = MAX_RESTARTS,
-    max_iters: int = MAX_ITERS,
-) -> FiberSample:
+def sample_fiber(target: SpectraPoint, seed: int = 0, tol: float = FIBER_TOL) -> FiberSample:
     """Find a normalized state whose shifted spectra match the target.
 
     Parameters
@@ -243,11 +238,9 @@ def sample_fiber(
         Seeds both the Haar starting points and any random phases.
     tol:
         Success requires the Euclidean spectra distance <= tol.
-    max_restarts:
-        Fresh Haar restarts after a stalled descent before giving up.
-    max_iters:
-        Gauss-Newton steps tried per attempt, accepted or not; the
-        sample's ``iterations`` counts them over all attempts.
+
+    An attempt tries at most MAX_ITERS steps, accepted or not, and at most
+    MAX_RESTARTS fresh Haar starts follow; ``iterations`` counts all steps.
 
     Raises
     ------
@@ -260,11 +253,11 @@ def sample_fiber(
     seed = _int_at_least(seed, 0, "seed")
     _check_tolerance("residual tolerance", tol, math.inf)
     stratum = _admissible(target)
-    return _fiber_samples(target, stratum, [seed], tol, max_restarts, max_iters)[0][0]
+    return _fiber_samples(target, stratum, [seed], tol)[0][0]
 
 
 def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[int],
-                   tol: float, max_restarts: int, max_iters: int) -> list:
+                   tol: float) -> list:
     """One fiber sample per seed, all descended as one stack.
 
     ``default_rng(seed)`` draws that row's exact or Haar start and its
@@ -280,7 +273,7 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
     amps = np.array([haar_state(L, rng).amplitudes if start is None else start[0]
                      for start, rng in zip(starts, rngs)])
     amps, f, iterations, restarts = _descend(
-        amps, L, t_arr, zero_mask, tol, max_iters, max_restarts, rngs)
+        amps, L, t_arr, zero_mask, tol, MAX_ITERS, MAX_RESTARTS, rngs)
     out = []
     for i, seed in enumerate(seeds):
         state = PureState(L, amps[i])
@@ -288,7 +281,7 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
         residual = float(np.linalg.norm(achieved.as_array() - t_arr))
         if f[i] > tol * tol:
             raise ConvergenceError(
-                f"fiber sampling did not reach residual {tol:g} after {max_restarts} restarts "
+                f"fiber sampling did not reach residual {tol:g} after {MAX_RESTARTS} restarts "
                 f"(best residual {residual:.3e})"
             )
         if residual > tol:
@@ -308,7 +301,7 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
 def _dmu_matrices(amps: np.ndarray, L: int) -> np.ndarray:
     """The momentum differential (2^{L+1}, 3L) at one state, or at each state of a stack."""
     _, rows = _residuals_and_jacobian(amps, L, np.zeros(L), np.ones(L, dtype=bool))
-    return 2.0 * np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
+    return 2.0 * _real_columns(rows)
 
 
 def momentum_differential_matrix(state: PureState) -> np.ndarray:
@@ -405,7 +398,7 @@ def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float
             rank_tol: float, dim_k_alpha: int, dim_proj: int) -> list:
     """Audits of the seeds' samples, drawn as one stack; one SVD call per rank family."""
     L = target.num_qubits
-    pairs = _fiber_samples(target, stratum, seeds, tol, MAX_RESTARTS, MAX_ITERS)
+    pairs = _fiber_samples(target, stratum, seeds, tol)
     for sample, achieved in pairs:
         if not membership(achieved).member:
             raise ConvergenceError(
@@ -413,8 +406,8 @@ def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float
             )
     amps = np.stack([sample.state.amplitudes for sample, _ in pairs])
     ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L), rank_tol)
-    compact = _real_columns(_generator_actions(amps, L)[..., :3, :])
-    k_ranks, _, _ = _rank_and_svals(compact, rank_tol)
+    compact = _generator_actions(amps, L)[..., :3, :].reshape(len(amps), -1, 2**L)
+    k_ranks, _, _ = _rank_and_svals(_real_columns(compact), rank_tol)
     audits = []
     for (sample, _), rank, sv, ill, k_rank in zip(pairs, ranks, svals, shaky, k_ranks):
         iso = 3 * L - k_rank

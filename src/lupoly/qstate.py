@@ -24,7 +24,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .polytope import MAX_QUBITS, SpectraPoint, check_qubit_count, check_qubit_index, read_json
+from .polytope import (MAX_QUBITS, SpectraPoint, _check_int, check_qubit_count, check_qubit_index,
+                       read_json)
 
 # Input states may be off unit norm by this much before rejection;
 # internally constructed states are normalized to machine precision.
@@ -89,6 +90,7 @@ class PureState:
     def basis(cls, num_qubits: int, index: int) -> "PureState":
         """Computational basis state |index> on num_qubits qubits."""
         check_qubit_count(num_qubits, 1, "PureState.basis")
+        _check_int(index, "basis index")
         dim = 2**num_qubits
         if not 0 <= index < dim:
             raise ValidationError(f"basis index {index} out of range for {num_qubits} qubits")
@@ -139,10 +141,6 @@ class DensityMatrix2:
         """(smaller, larger) eigenvalue, via the closed form for 2x2 Hermitian."""
         r = _check_density_blocks(self.matrix[None])[0]
         return 0.5 - r, 0.5 + r
-
-    def shifted(self) -> np.ndarray:
-        """Traceless part rho - I/2."""
-        return self.matrix - np.eye(2) / 2.0
 
 
 def _marginal(amps: np.ndarray, num_qubits: int, l: int, out: np.ndarray | None = None):

@@ -3,7 +3,8 @@ numerical rank, and the explicitly stable zero-momentum states.
 
 Every generator acts on a single tensor slot, so one table of six 2x2
 factors is applied at each slot by ``apply_slot_operator``; the full
-2^L x 2^L matrices are never formed.
+2^L x 2^L matrices are never formed.  ``verify_stable`` builds the actions
+once, for its orbit report and its k1 rank alike.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .polytope import check_qubit_count
-from .qstate import PureState, apply_slot_operator, reduce_one_qubit
+from .polytope import check_qubit_count, check_qubit_index
+from .qstate import PureState, apply_slot_operator, momentum_map
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -63,9 +64,8 @@ def _generator_actions(amps: np.ndarray, num_qubits: int) -> np.ndarray:
     return w - (w @ amps.conj()[..., None, :, None]) * amps[..., None, None, :]
 
 
-def _real_columns(actions: np.ndarray) -> np.ndarray:
-    """Real columns [Re; Im] of (B..., k, 3, 2^L) actions, slot-major: column 3(l-1)+k."""
-    rows = actions.reshape(actions.shape[:-3] + (-1, actions.shape[-1]))
+def _real_columns(rows: np.ndarray) -> np.ndarray:
+    """Real columns [Re; Im] of rows (..., m, 2^L): shape (..., 2^{L+1}, m), column i from row i."""
     return np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
 
 
@@ -98,14 +98,19 @@ def orbit_dimensions(state: PureState, rank_tol: float = RANK_TOL) -> OrbitRepor
     isotropy algebra.  Ranks are singular-value counts above
     rank_tol times the top singular value.
     """
-    actions = _generator_actions(state.amplitudes, state.num_qubits)
-    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3]), rank_tol)
-    complex_cols = actions[:, 3:].reshape(-1, state.dim).T
-    g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols, rank_tol)
+    return _orbit_report(_generator_actions(state.amplitudes, state.num_qubits), rank_tol)
+
+
+def _orbit_report(actions: np.ndarray, rank_tol: float) -> OrbitReport:
+    """The orbit report of one state's (L, 6, 2^L) generator actions."""
+    L, _, dim = actions.shape
+    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3].reshape(-1, dim)),
+                                               rank_tol)
+    g_rank, g_svals, g_shaky = _rank_and_svals(actions[:, 3:].reshape(-1, dim).T, rank_tol)
     return OrbitReport(
         dim_K_orbit=k_rank,
         dim_G_orbit_complex=g_rank,
-        dim_isotropy_algebra=3 * state.num_qubits - k_rank,
+        dim_isotropy_algebra=3 * L - k_rank,
         compact_singular_values=tuple(float(s) for s in k_svals),
         complex_singular_values=tuple(float(s) for s in g_svals),
         rank_tol=rank_tol,
@@ -187,25 +192,24 @@ def verify_stable(
     Requires (a) the first k1 reduced matrices to equal I/2 within
     REDUCTION_TOL and (b) the orbit rank over the compact generators of
     slots 1..k1 to reach 3*k1.  The report also carries the full-group
-    orbit data.
+    orbit data.  k1 is an integer in 1..L, by default L, where the k1 rank
+    is the orbit's compact rank.
     """
     L = state.num_qubits
     if k1 is None:
         k1 = L
-    if not 1 <= k1 <= L:
-        raise ValidationError(f"k1={k1} out of range 1..{L}")
+    check_qubit_index(k1, L, "k1")
+    k1 = int(k1)
 
-    dev = 0.0
-    half_eye = np.eye(2) / 2.0
-    for l in range(1, k1 + 1):
-        rho = np.asarray(reduce_one_qubit(state, l).matrix)
-        dev = max(dev, float(np.abs(rho - half_eye).max()))
+    dev = float(np.abs(momentum_map(state)[:k1]).max())
     reductions_ok = dev <= REDUCTION_TOL
 
-    k1_actions = _generator_actions(state.amplitudes, L)[:k1, :3]
-    k1_rank, _, _ = _rank_and_svals(_real_columns(k1_actions), rank_tol)
-
-    orbit = orbit_dimensions(state, rank_tol=rank_tol)
+    actions = _generator_actions(state.amplitudes, L)
+    orbit = _orbit_report(actions, rank_tol)
+    k1_rank = orbit.dim_K_orbit
+    if k1 < L:
+        k1_rank, _, _ = _rank_and_svals(_real_columns(actions[:k1, :3].reshape(-1, state.dim)),
+                                        rank_tol)
     return StabilityReport(
         stable=bool(reductions_ok and k1_rank == 3 * k1),
         k1=k1,

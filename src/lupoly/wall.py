@@ -19,7 +19,8 @@ from itertools import combinations
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import SpectraPoint, check_qubit_count, check_qubit_index, membership, slacks
+from .polytope import (SpectraPoint, _check_int, check_qubit_count, check_qubit_index, membership,
+                       slacks)
 
 # How tightly alpha must satisfy the wall equality.
 WALL_TOL = 1e-9
@@ -84,6 +85,7 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     """
     L = num_qubits
     check_qubit_count(L, 1, "eigenspace_basis")
+    _check_int(k, "k")
     if not 0 <= k <= L:
         raise ValidationError(f"k={k} out of range 0..{L}")
     check_qubit_index(distinguished, L, "distinguished index")

@@ -255,8 +255,8 @@ class TestStackedKernel:
             states.append(stable_state(L))
         amps = np.stack([s.amplitudes for s in states])
         ranks, svals, shaky = _rank_and_svals(fiberlab._dmu_matrices(amps, L), RANK_TOL)
-        compact = _real_columns(_generator_actions(amps, L)[..., :3, :])
-        k_ranks, _, _ = _rank_and_svals(compact, RANK_TOL)
+        compact = _generator_actions(amps, L)[..., :3, :].reshape(len(states), 3 * L, 2**L)
+        k_ranks, _, _ = _rank_and_svals(_real_columns(compact), RANK_TOL)
         for i, state in enumerate(states):
             report = momentum_rank_report(state)
             assert (ranks[i], shaky[i]) == (report.rank, report.ill_conditioned)
@@ -326,9 +326,18 @@ class TestSampleFiber:
         with pytest.raises(ValidationError, match="seed must be"):
             sample_fiber(INTERIOR3, seed=seed)
 
-    def test_gives_up_honestly(self):
+    def test_descent_bounds_are_not_arguments(self):
+        # a non-integer bound never met ran unbounded; the bounds are module constants
+        with pytest.raises(TypeError, match="max_restarts"):
+            sample_fiber(INTERIOR3, max_restarts=1.5)
+        with pytest.raises(TypeError, match="max_iters"):
+            sample_fiber(INTERIOR3, max_iters=-1)
+
+    def test_gives_up_honestly(self, monkeypatch):
+        monkeypatch.setattr(fiberlab, "MAX_ITERS", 1)
+        monkeypatch.setattr(fiberlab, "MAX_RESTARTS", 0)
         with pytest.raises(ConvergenceError):
-            sample_fiber(INTERIOR3, seed=0, max_iters=1, max_restarts=0)
+            sample_fiber(INTERIOR3, seed=0)
 
     def test_failure_reports_best_residual(self, monkeypatch):
         # three staged Haar starts of known residual, the best one in the middle;
@@ -344,8 +353,10 @@ class TestSampleFiber:
         residuals = [f"{residual(s):.3e}" for s in staged]
         attempts = iter(staged)
         monkeypatch.setattr(fiberlab, "haar_state", lambda L, rng: next(attempts))
+        monkeypatch.setattr(fiberlab, "MAX_RESTARTS", 2)
+        monkeypatch.setattr(fiberlab, "MAX_ITERS", 0)
         with pytest.raises(ConvergenceError) as exc:
-            sample_fiber(INTERIOR3, seed=0, max_restarts=2, max_iters=0)
+            sample_fiber(INTERIOR3, seed=0)
         assert next(attempts, None) is None
         assert len(set(residuals)) == 3
         assert f"(best residual {residuals[1]})" in str(exc.value)
@@ -380,7 +391,7 @@ class TestSampleFiber:
 
     def test_failing_call_ends_fast(self, monkeypatch):
         # residuals that shrink on every evaluation but never reach tol: each
-        # attempt runs all max_iters steps, so this is the slowest failing call
+        # attempt runs all MAX_ITERS steps, so this is the slowest failing call
         residuals_and_jacobian = fiberlab._residuals_and_jacobian
         calls = []
 

@@ -1,5 +1,6 @@
 """The generator table, orbit/isotropy ranks, and the stable zero-momentum families."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from lupoly import (
     stable_state,
     verify_stable,
 )
+from lupoly import stability
 from lupoly.qstate import MAX_QUBITS, apply_slot_operator
 from lupoly.stability import (
     E12,
@@ -62,7 +64,7 @@ class TestGenerators:
         assert GENERATORS.shape == (6, 2, 2) and not GENERATORS.flags.writeable
         actions = _generator_actions(haar_state(4, np.random.default_rng(3)).amplitudes, 4)
         assert actions.shape == (4, 6, 16)
-        cols = _real_columns(actions[:, :3])
+        cols = _real_columns(actions[:, :3].reshape(12, 16))
         assert cols.shape == (32, 12)
         # column 3(l-1)+k holds the i*sigma_k action at slot l
         for l in range(1, 5):
@@ -254,6 +256,24 @@ class TestVerifyStable:
             verify_stable(GHZ4, k1=5)
         with pytest.raises(ValidationError):
             verify_stable(GHZ4, k1=0)
+        for bad in (2.5, 2.0, True, np.True_, "2"):
+            with pytest.raises(ValidationError, match="k1 must be an integer"):
+                verify_stable(GHZ4, k1=bad)
+        report = verify_stable(GHZ4, k1=np.int64(4))
+        assert type(report.k1) is int and report == verify_stable(GHZ4, k1=4)
+        assert json.loads(json.dumps(report.document())) == verify_stable(GHZ4).document()
+
+    @pytest.mark.parametrize("k1", (1, 2, 4))
+    def test_generator_actions_built_once(self, k1, monkeypatch):
+        calls, generator_actions = [], stability._generator_actions
+
+        def counted(amps, num_qubits):
+            calls.append(num_qubits)
+            return generator_actions(amps, num_qubits)
+
+        monkeypatch.setattr(stability, "_generator_actions", counted)
+        verify_stable(stable_state(4), k1=k1)
+        assert calls == [4]
 
     def test_report_protocol(self):
         report = verify_stable(stable_state(4))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lupoly import (
+    PureState,
     SpectraPoint,
     ValidationError,
     build_wall_operator,
@@ -221,7 +222,8 @@ def test_qubit_count_bounded_before_allocation():
 
 
 class TestQubitIndexIsAnInteger:
-    """Qubit counts and distinguished indices must be integers (numpy ones too)."""
+    """Qubit counts, distinguished indices, eigenspace weights and basis indices must be
+    integers (numpy ones too)."""
 
     BAD = (1.5, 2.0, True, np.True_, "2")
 
@@ -241,6 +243,16 @@ class TestQubitIndexIsAnInteger:
             eigenspace_basis(3, 1, bad)
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_eigenspace_basis_weight(self, bad):
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            eigenspace_basis(4, bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    def test_basis_state_index(self, bad):
+        with pytest.raises(ValidationError, match="basis index must be an integer"):
+            PureState.basis(3, bad)
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_wall_state(self, bad):
         alpha = random_wall_point(3, np.random.default_rng(36))
         with pytest.raises(ValidationError, match="must be an integer"):
@@ -256,6 +268,8 @@ class TestQubitIndexIsAnInteger:
         op = build_wall_operator(np.int64(3), distinguished=d)
         assert op.diagonal == build_wall_operator(3, 2).diagonal
         assert eigenspace_basis(3, 1, d) == eigenspace_basis(3, 1, 2)
+        assert eigenspace_basis(3, d).kets == eigenspace_basis(3, 2).kets
+        assert PureState.basis(3, np.int64(5)).amplitudes[5] == 1.0
         alpha = random_wall_point(3, np.random.default_rng(38), distinguished=d)
         assert classify(alpha).tight_walls == (2,)
         state = wall_state(alpha, np.zeros(3), distinguished=d)
