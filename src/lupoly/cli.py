@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure
 (non-convergence or ill-conditioning), 3 internal invariant violation.
 Points enter either as an inline ``--lambda`` list, as a ``--state``
 file, or as a JSON document piped to standard input; exactly one
-source is accepted per invocation.
+source is accepted per invocation.  Tolerances are set by flags alone:
+``--tol`` is the slack tolerance of ``classify`` and ``dim`` and the
+residual tolerance of ``sample-fiber`` and ``oracle-dim``.
 
 The numpy modules (``qstate``, ``fiberlab``, ``stability``) are imported
 inside the handlers and branches that use them: ``classify`` and ``dim``
@@ -57,12 +59,9 @@ _SEED, _COUNT = _int_from(0), _int_from(1)
 
 
 def _real_in(low: float, high: float = math.inf, include_low: bool = True):
-    """argparse type: a finite float in [low, high), or in (low, high) without include_low.
+    """argparse type: a finite float in [low, high), or in (low, high) without include_low."""
 
-    Also applied to config-file numbers, so it takes a str or a number.
-    """
-
-    def real(text) -> float:
+    def real(text: str) -> float:
         value = float(text)
         above = low <= value if include_low else low < value
         if not (above and value < high):  # false for NaN and both infinities
@@ -151,38 +150,9 @@ def _resolve_point(args) -> SpectraPoint:
     return qstate.psi_map(state)
 
 
-def _load_config(path: str | None) -> dict:
-    """Tolerance defaults; the sampler refuses a zero residual ``tol`` itself."""
-    if path is None:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            cfg = read_json(handle, f"config {path!r}")
-    except OSError as exc:
-        raise ValidationError(f"cannot read config {path!r}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValidationError("config must be a JSON object")
-    checks = {"tol": _SLACK_TOL, "rank_tol": _RANK_TOL}
-    unknown = sorted(set(cfg) - set(checks))
-    if unknown:
-        raise ValidationError(f"unknown config keys {unknown}; known: {list(checks)}")
-    for key, value in cfg.items():
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"config key {key!r} must be a number")
-        try:
-            checks[key](value)
-        except (argparse.ArgumentTypeError, OverflowError) as exc:
-            raise ValidationError(f"config key {key!r}: {exc}") from exc
-    return cfg
-
-
 def _settings(args, *keys: str) -> dict:
-    """Keyword arguments: each key's flag value if given, else its config file value."""
-    found = {}
-    for key in keys:
-        value = getattr(args, key, None)
-        found[key] = args.config_values.get(key) if value is None else value
-    return {key: value for key, value in found.items() if value is not None}
+    """Keyword arguments for the tolerance flags that were given."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
 
 
 def _stratum_document(stratum) -> dict:
@@ -381,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
             rule = "comma-separated shifted spectra; p/q tokens are kept exact"
             p.add_argument("--lambda", dest="lambdas", metavar="LIST", help=rule)
             p.add_argument("--state", metavar="FILE", help="state-file path, or - for stdin")
-        p.add_argument("--config", metavar="FILE", help="JSON file with tolerance defaults")
         p.add_argument("-o", "--output", metavar="FILE", help="also write the document here")
         return p
 
@@ -461,7 +430,6 @@ def main(argv: list[str] | None = None) -> int:
         os.environ.setdefault(key, "1")
     args = build_parser().parse_args(argv)
     try:
-        args.config_values = _load_config(getattr(args, "config", None))
         doc, code = args.handler(args)
     except ValidationError as exc:
         return _fail(1, exc)

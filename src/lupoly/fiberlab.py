@@ -34,8 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, ValidationError
 from .polytope import SpectraPoint, StratumClass, _check_int, classify, membership
 from .qstate import PureState, haar_state, pauli_images, psi_map
-from .stability import (RANK_TOL, _check_tolerance, _generator_actions, _rank_and_svals,
-                        _real_columns)
+from .stability import RANK_TOL, _check_tolerance, _rank_and_svals, _real_columns
 from .wall import wall_state
 
 FIBER_TOL = 1e-10
@@ -171,13 +170,6 @@ def _int_at_least(value, low: int, what: str) -> int:
     return int(value)
 
 
-def _admissible(target: SpectraPoint) -> StratumClass:
-    """The target's stratum; a target outside the admissible region is refused."""
-    if not membership(target).member:
-        raise ValidationError("target spectra lie outside the admissible region")
-    return classify(target)
-
-
 @dataclass(frozen=True, eq=False)
 class FiberSample:
     state: PureState
@@ -252,7 +244,7 @@ def sample_fiber(target: SpectraPoint, seed: int = 0, tol: float = FIBER_TOL) ->
     """
     seed = _int_at_least(seed, 0, "seed")
     _check_tolerance("residual tolerance", tol, math.inf)
-    stratum = _admissible(target)
+    stratum = classify(target)  # refuses a target outside the admissible region
     return _fiber_samples(target, stratum, [seed], tol)[0][0]
 
 
@@ -396,7 +388,7 @@ class NumericDimEstimate:
 
 def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float,
             rank_tol: float, dim_k_alpha: int, dim_proj: int) -> list:
-    """Audits of the seeds' samples, drawn as one stack; one SVD call per rank family."""
+    """Audits of the seeds' samples, drawn as one stack; one SVD call ranks them all."""
     L = target.num_qubits
     pairs = _fiber_samples(target, stratum, seeds, tol)
     for sample, achieved in pairs:
@@ -406,11 +398,9 @@ def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float
             )
     amps = np.stack([sample.state.amplitudes for sample, _ in pairs])
     ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L), rank_tol)
-    compact = _generator_actions(amps, L)[..., :3, :].reshape(len(amps), -1, 2**L)
-    k_ranks, _, _ = _rank_and_svals(_real_columns(compact), rank_tol)
     audits = []
-    for (sample, _), rank, sv, ill, k_rank in zip(pairs, ranks, svals, shaky, k_ranks):
-        iso = 3 * L - k_rank
+    for (sample, _), rank, sv, ill in zip(pairs, ranks, svals, shaky):
+        iso = 3 * L - rank  # dim K.x = rank dmu
         audits.append(SampleAudit(
             seed=sample.seed,
             rank_dmu=rank,
@@ -418,7 +408,7 @@ def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float
             estimate=(dim_proj - rank) - (dim_k_alpha - iso),
             residual=sample.residual,
             sv_gap=_sv_gap(sv, rank),
-            regular=rank == 3 * L - iso and not ill,
+            regular=not ill,
             iterations=sample.iterations,
             restarts=sample.restarts,
         ))
@@ -448,8 +438,9 @@ def numeric_dim(
     The estimate for each sample is
     (2^{L+1} - 2 - rank dmu) - (dim K_alpha - dim isotropy), with
     dim K_alpha counting 1 per nonzero coordinate and 3 per zero one.
-    The common integer is reported only when every sample agrees and
-    passes the regularity check rank dmu = 3L - dim isotropy.
+    dim isotropy is 3L - rank dmu, since rank dmu = dim K.x.  The common
+    integer is reported only when every sample agrees and is regular: no
+    singular value of dmu within ILL_CONDITION_BAND of the rank cut.
     ``tol`` must be a finite number > 0 and ``rank_tol`` lie in (0, 1).
     """
     _check_tolerance("residual tolerance", tol, math.inf)
@@ -459,7 +450,7 @@ def numeric_dim(
     seeds = [_int_at_least(s, 0, "seed") for s in seeds]
     if len(seeds) != n_samples:
         raise ValidationError(f"expected {n_samples} seeds, got {len(seeds)}")
-    stratum = _admissible(target)
+    stratum = classify(target)
     if stratum.k_half > 0 or stratum.tight_walls:
         raise ValidationError(
             "singular value of mu: use case-specific certificate reductions "

@@ -134,6 +134,9 @@ MEMBER_TOL = 1e-9
 MAX_ORACLE_QUBITS = 6
 MAX_FACET_QUBITS = 8
 
+# Every slack of a random_interior_point exceeds this.
+INTERIOR_MARGIN = 0.02
+
 
 def slacks(lams) -> tuple:
     """The 3L slacks at ``lams`` (>= 0 inside the region), in row order.
@@ -410,12 +413,10 @@ def facets(num_qubits: int) -> tuple:
     return tuple(out)
 
 
-def random_interior_point(num_qubits: int, rng, margin: float = 0.02) -> SpectraPoint:
-    """Rejection-sample a point with all 3L slacks at least ``margin``."""
-    L = num_qubits
+def random_interior_point(num_qubits: int, rng) -> SpectraPoint:
+    """Rejection-sample a point with all 3L slacks above INTERIOR_MARGIN."""
+    L, margin = num_qubits, INTERIOR_MARGIN
     check_qubit_count(L, 3, "interior sampling")  # at L = 2 the region is a segment
-    if not 0.0 < margin < 0.1:
-        raise ValidationError("margin must sit in (0, 0.1)")
     for _ in range(10000):
         lams = tuple(float(x) for x in rng.uniform(margin, 0.5 - margin, size=L))
         if all(s > margin for s in slacks(lams)[2 * L:]):

@@ -36,6 +36,26 @@ MATRIX_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
+def _norm_parts(amps: np.ndarray) -> tuple[float, np.ndarray, float]:
+    """(scale, scaled, n): finite amplitudes are scale * scaled, and n is the norm of scaled.
+
+    scale is 1 unless the plain norm overflows or falls below 1e-150, where
+    its squares lose precision; then scale is the largest real or imaginary
+    part, divided out on the float view (a complex division by a subnormal
+    overflows).
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(amps))
+    if 1e-150 < norm < math.inf:
+        return 1.0, amps, norm
+    parts = amps.view(np.float64)
+    scale = float(np.abs(parts).max())
+    if scale == 0.0:
+        return 1.0, amps, 0.0
+    scaled = (parts / scale).view(np.complex128)
+    return scale, scaled, float(np.linalg.norm(scaled))
+
+
 def _num_qubits_for(dim: int) -> int:
     L = dim.bit_length() - 1
     if dim <= 1 or 2**L != dim:
@@ -63,7 +83,8 @@ class PureState:
             )
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValidationError("amplitudes contain NaN or infinity")
-        norm = np.linalg.norm(amps)
+        scale, _, norm = _norm_parts(amps)
+        norm *= scale  # inf where the norm exceeds the float range
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(
                 f"unnormalized state (norm deviation {abs(norm - 1.0):.3e} > {NORM_TOL:g}); "
@@ -80,10 +101,10 @@ class PureState:
         if renormalize:
             if not np.all(np.isfinite(amps.view(np.float64))):
                 raise ValidationError("amplitudes contain NaN or infinity")
-            norm = np.linalg.norm(amps)
+            _, scaled, norm = _norm_parts(amps)
             if norm == 0.0:
                 raise ValidationError("cannot renormalize the zero vector")
-            amps = amps / norm
+            amps = scaled / norm
         return cls(L, amps)
 
     @classmethod
@@ -280,11 +301,11 @@ def random_local_unitaries(num_qubits: int, rng: np.random.Generator) -> list[np
 # {"L": 3, "amplitudes": [[re, im], ...]} with exactly 2**L entries.
 
 
-def loads_state(text: str, renormalize: bool = False) -> PureState:
-    return state_from_document(read_json(text, "state file"), renormalize=renormalize)
+def loads_state(text: str) -> PureState:
+    return state_from_document(read_json(text, "state file"))
 
 
-def state_from_document(doc, renormalize: bool = False) -> PureState:
+def state_from_document(doc) -> PureState:
     if not isinstance(doc, dict) or "L" not in doc or "amplitudes" not in doc:
         raise ValidationError('state document must be {"L": ..., "amplitudes": [[re, im], ...]}')
     L = doc["L"]
@@ -302,15 +323,15 @@ def state_from_document(doc, renormalize: bool = False) -> PureState:
             amps.append(complex(float(entry[0]), float(entry[1])))
         except OverflowError as exc:
             raise ValidationError(f"amplitude part out of float range: {exc}") from exc
-    return PureState.from_amplitudes(amps, renormalize=renormalize)
+    return PureState.from_amplitudes(amps)
 
 
-def load_state(path_or_file, renormalize: bool = False) -> PureState:
+def load_state(path_or_file) -> PureState:
     """Read a state from a JSON file (path or open text handle)."""
     if hasattr(path_or_file, "read"):
-        return state_from_document(read_json(path_or_file, "state file"), renormalize=renormalize)
+        return state_from_document(read_json(path_or_file, "state file"))
     with open(path_or_file, "r", encoding="utf-8") as fh:
-        return load_state(fh, renormalize=renormalize)
+        return load_state(fh)
 
 
 def state_document(state: PureState) -> dict:

@@ -178,15 +178,14 @@ class TestExitCodes:
         code, _, err = run(capsys, "psi", "--state", "-", stdin=stdin, monkeypatch=monkeypatch)
         assert code == 1 and json.loads(err)["error"]["type"] == "ValidationError"
 
-    @pytest.mark.parametrize("flag", ("--state", "--config"))
+    @pytest.mark.parametrize("flag", ("--state",))
     @pytest.mark.parametrize(
         "payload", (b"[" * 100000, b"\xff\xfe{}"), ids=("deep-nesting", "invalid-utf8")
     )
     def test_unreadable_json_file(self, capsys, tmp_path, flag, payload):
         path = tmp_path / "input.json"
         path.write_bytes(payload)
-        argv = ["dim", "--lambda", "0.1,0.2,0.15"] if flag == "--config" else ["psi"]
-        code, doc, err = run(capsys, *argv, flag, str(path))
+        code, doc, err = run(capsys, "psi", flag, str(path))
         assert code == 1 and doc is None
         error = json.loads(err)["error"]
         assert error["type"] == "ValidationError" and "not valid JSON" in error["message"]
@@ -221,6 +220,24 @@ class TestExitCodes:
     def test_excluded_alpha(self, capsys):
         code, _, err = run(capsys, "stable", "-L", "4", "--alpha", "1")
         assert code == 1 and "excluded set" in err
+
+    @pytest.mark.parametrize("amplitude", ("1e200", "1e-200"))
+    def test_extreme_amplitudes_under_warnings_as_errors(self, amplitude):
+        # the norm of [1e200, 0] overflows when squared; stderr holds the JSON error alone
+        argv = [sys.executable, "-W", "error", "-m", "lupoly.cli", "psi", "--state", "-"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        stdin = '{"L": 1, "amplitudes": [[%s, 0], [0, 0]]}' % amplitude
+        proc = subprocess.run(argv, input=stdin, capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 1 and proc.stdout == ""
+        error = json.loads(proc.stderr)["error"]
+        assert error["type"] == "ValidationError" and "unnormalized state" in error["message"]
+
+    def test_huge_alpha_gives_a_stable_document(self, capsys):
+        code, doc, _ = run(capsys, "stable", "-L", "4", "--alpha", "1e200")
+        assert code in (0, 2)
+        jsonschema.validate(doc, schemas.load("stability"))
+        assert doc["state"]["amplitudes"][0] == pytest.approx([2**-0.5, 0.0])
 
     def test_ill_conditioned_rank_exits_two(self, capsys):
         code, doc, _ = run(capsys, "stable", "-L", "4", "--alpha", "1.00000003")
@@ -312,6 +329,13 @@ class TestToleranceFlags:
     )
     def test_out_of_range_values_rejected(self, capsys, argv):
         self.refused(capsys, *argv)
+
+    def test_config_file_is_not_an_option(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"tol": 1e-6}')
+        err = self.refused(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", str(path))
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and "unrecognized arguments" in error["message"]
 
     def test_zero_slack_tolerance_accepted(self, capsys):
         code, doc, _ = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--tol", "0")
@@ -411,69 +435,6 @@ class TestInputRouting:
         dump_state(stable_state(5), path)
         code, _, err = run(capsys, "stable", "--state", str(path), "-L", "5")
         assert code == 1 and "drop -L" in err
-
-
-class TestConfigFile:
-    def config(self, tmp_path, payload):
-        path = tmp_path / "cfg.json"
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
-        return str(path)
-
-    def test_tolerance_from_config(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, {"tol": 1e-6})
-        lams = "0.1666667,0.3333333,0.3333333"
-        _, doc, _ = run(capsys, "classify", "--lambda", lams, "--config", cfg)
-        assert doc["tight_walls"] == [1]
-
-    def test_flag_overrides_config(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, {"tol": 1e-6})
-        lams = "0.1666667,0.3333333,0.3333333"
-        _, doc, _ = run(capsys, "classify", "--lambda", lams, "--config", cfg, "--tol", "1e-12")
-        assert doc["tight_walls"] == []
-
-    def test_unknown_key_rejected(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, {"tolerance": 1e-6})
-        code, _, err = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", cfg)
-        assert code == 1 and "unknown config keys" in err
-
-    def test_non_numeric_value_rejected(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, {"tol": "tight"})
-        code, _, _ = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", cfg)
-        assert code == 1
-
-    def test_malformed_json_rejected(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, "{not json")
-        code, _, err = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", cfg)
-        assert code == 1 and "not valid JSON" in err
-
-    def test_missing_file_rejected(self, capsys, tmp_path):
-        code, _, _ = run(
-            capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", str(tmp_path / "no.json")
-        )
-        assert code == 1
-
-    def test_infinite_tolerance_rejected(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, '{"tol": 1e999}')
-        code, doc, err = run(capsys, "dim", "--lambda", "0.1,0.2,0.15", "--config", cfg)
-        assert code == 1 and doc is None and "'tol'" in err
-
-    @pytest.mark.parametrize("payload", ({"rank_tol": 1.0}, {"tol": -1e-9}, {"tol": 10**400}))
-    def test_out_of_range_tolerance_rejected(self, capsys, tmp_path, payload):
-        cfg = self.config(tmp_path, payload)
-        code, doc, err = run(capsys, "stable", "-L", "4", "--config", cfg)
-        assert code == 1 and doc is None
-        assert f"config key {next(iter(payload))!r}" in err
-
-    def test_zero_residual_tolerance_rejected_by_the_sampler(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, {"tol": 0})
-        code, _, err = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15", "--config", cfg)
-        assert code == 1 and json.loads(err)["error"]["type"] == "ValidationError"
-
-    def test_rank_tol_reaches_the_verifier(self, capsys, tmp_path):
-        cfg = self.config(tmp_path, {"rank_tol": 1e-3})
-        code, doc, _ = run(capsys, "stable", "-L", "4", "--config", cfg)
-        assert code == 0
-        assert doc["orbit"]["rank_tol"] == 1e-3
 
 
 class TestSchemas:
@@ -619,7 +580,7 @@ def fuzz_argv(draw, files):
         argv.append(flag)
         if flag == "--lambda":
             argv.append(draw(st.one_of(coords, tokens)))
-        elif flag in ("--state", "--config", "-o", "--output"):
+        elif flag in ("--state", "-o", "--output"):
             argv.append(draw(st.one_of(paths, tokens)))
         elif flag not in FUZZ_SWITCHES:
             argv.append(draw(tokens))
@@ -630,12 +591,12 @@ def fuzz_argv(draw, files):
 
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
-    """State and config files, good and bad, plus paths that cannot be read or written."""
+    """State files, good and bad, plus paths that cannot be read or written."""
     root = tmp_path_factory.mktemp("fuzz")
     dump_state(stable_state(4), root / "stable.json")
     contents = {
-        "config.json": b'{"tol": 1e-6, "rank_tol": 1e-3}',
-        "bad-config.json": b'{"rank_tol": 2}',
+        "huge.json": b'{"L": 1, "amplitudes": [[1e200, 0], [0, 0]]}',
+        "tiny.json": b'{"L": 1, "amplitudes": [[1e-200, 0], [0, 0]]}',
         "deep.json": b"[" * 100000,
         "binary.json": b"\xff\xfe{}",
     }

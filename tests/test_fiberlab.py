@@ -255,13 +255,25 @@ class TestStackedKernel:
             states.append(stable_state(L))
         amps = np.stack([s.amplitudes for s in states])
         ranks, svals, shaky = _rank_and_svals(fiberlab._dmu_matrices(amps, L), RANK_TOL)
-        compact = _generator_actions(amps, L)[..., :3, :].reshape(len(states), 3 * L, 2**L)
-        k_ranks, _, _ = _rank_and_svals(_real_columns(compact), RANK_TOL)
         for i, state in enumerate(states):
             report = momentum_rank_report(state)
             assert (ranks[i], shaky[i]) == (report.rank, report.ill_conditioned)
             assert np.allclose(svals[i], report.singular_values, rtol=0, atol=1e-12)
-            assert k_ranks[i] == orbit_dimensions(state).dim_K_orbit
+            assert ranks[i] == orbit_dimensions(state).dim_K_orbit
+
+    @pytest.mark.parametrize("L", range(1, 9))
+    def test_compact_orbit_matrix_is_j_dmu_over_two(self, L):
+        # i sigma phi projected off phi is i times the projected image sigma phi: the compact
+        # orbit columns are J [Re; Im] / 2 of the dmu columns, so numeric_dim ranks dmu alone
+        states = [haar_state(L, np.random.default_rng(L)), PureState.basis(L, 5 % 2**L),
+                  ghz_state(L)]
+        if L >= 4:
+            states.append(stable_state(L))
+        amps = np.stack([s.amplitudes for s in states])
+        compact = _generator_actions(amps, L)[..., :3, :].reshape(len(states), 3 * L, 2**L)
+        dmu, half = fiberlab._dmu_matrices(amps, L), 2**L
+        j_dmu = np.concatenate([-dmu[:, half:], dmu[:, :half]], axis=1)
+        assert np.abs(_real_columns(compact) - j_dmu / 2.0).max() <= 1e-14
 
 
 class TestSampleFiber:
@@ -548,6 +560,16 @@ class TestNumericDim:
             sample = sample_fiber(INTERIOR3, seed=audit.seed)
             assert (audit.iterations, audit.restarts) == (sample.iterations, sample.restarts)
             assert audit.iterations > 0
+
+    def test_singular_value_in_the_band_is_not_regular(self):
+        # a cut at twice the smallest singular value drops it, and it lies within the band
+        svals = momentum_rank_report(sample_fiber(INTERIOR3, seed=0).state).singular_values
+        cut = 2.0 * svals[-1]
+        estimate = numeric_dim(INTERIOR3, n_samples=1, seeds=[0], rank_tol=cut / svals[0])
+        (audit,) = estimate.samples
+        assert audit.rank_dmu == sum(s > cut for s in svals) < 9
+        assert audit.dim_isotropy == 9 - audit.rank_dmu and not audit.regular
+        assert estimate.status == "inconclusive" and estimate.dim_estimate is None
 
     def test_document_shapes(self):
         doc = numeric_dim(INTERIOR3, n_samples=2).document()

@@ -23,7 +23,7 @@ from lupoly import (
     vertices_oracle,
 )
 from lupoly import polytope
-from lupoly.polytope import HALF, KINDS, MEMBER_TOL
+from lupoly.polytope import HALF, INTERIOR_MARGIN, KINDS, MEMBER_TOL
 
 TABLE_L4 = {
     "v_SEP": ("1/2", "1/2", "1/2", "1/2"),
@@ -351,8 +351,8 @@ class TestSamplers:
 
     def test_interior_sampler_margin_bounds(self):
         rng = np.random.default_rng(17)
-        with pytest.raises(ValidationError):
-            random_interior_point(3, rng, margin=0.5)
+        for L in range(3, 13):
+            assert min(slacks(random_interior_point(L, rng).lambdas)) > INTERIOR_MARGIN
         # the two-qubit region is the segment lambda_1 = lambda_2: no interior
         with pytest.raises(ValidationError, match="3..12 qubits, got 2"):
             random_interior_point(2, rng)

@@ -153,6 +153,30 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PureState.from_amplitudes([0.0, 0.0], renormalize=True)
 
+    @pytest.mark.parametrize(
+        "amps,want",
+        (([1e-200, 0.0], [1.0, 0.0]),
+         ([1e200, 1e200], [0.5**0.5, 0.5**0.5]),
+         ([5e-324, 0.0], [1.0, 0.0]),
+         ([1.5e308, 1.5e308j], [0.5**0.5, 0.5**0.5 * 1j])),
+        ids=("underflow", "overflow", "subnormal", "overflow-complex"),
+    )
+    def test_renormalizes_extreme_scales(self, amps, want):
+        # the squares of these amplitudes leave the float range; warnings are errors here
+        state = PureState.from_amplitudes(amps, renormalize=True)
+        assert np.allclose(state.amplitudes, want, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("amps", ([1e200, 0.0], [1e-200, 0.0], [1.7e308, 1.7e308]))
+    def test_rejects_extreme_scales_without_flag(self, amps):
+        with pytest.raises(ValidationError, match="unnormalized state"):
+            PureState.from_amplitudes(amps)
+
+    def test_normal_range_uses_the_plain_norm(self):
+        amps = np.array([1.0, 1j]) @ np.random.default_rng(5).normal(size=(2, 16))
+        once = amps / np.linalg.norm(amps)
+        want = once / np.linalg.norm(once)
+        assert np.array_equal(PureState.from_amplitudes(amps, renormalize=True).amplitudes, want)
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValidationError):
             PureState.from_amplitudes([np.nan, 1.0], renormalize=True)
