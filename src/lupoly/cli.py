@@ -9,6 +9,11 @@ source is accepted per invocation.  Tolerances are set by flags alone:
 ``--tol`` is the slack tolerance of ``classify`` and ``dim`` and the
 residual tolerance of ``sample-fiber`` and ``oracle-dim``.
 
+The parser only turns flag values into ints and floats.  The library
+call behind each flag checks its value, so a count, seed, index or
+tolerance out of range raises ``ValidationError`` and exits 1 with a
+message that names the argument, the interval and the value.
+
 The numpy modules (``qstate``, ``fiberlab``, ``stability``) are imported
 inside the handlers and branches that use them: ``classify`` and ``dim``
 on a lambda list, ``vertices``, ``facets``, ``xspec`` and ``wall-check``
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import re
 import sys
@@ -41,40 +45,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.exit(_fail(1, ValidationError(f"{self.format_usage()}{self.prog}: error: {message}")))
-
-
-def _int_from(low: int):
-    """argparse type: an integer no smaller than ``low``; argparse reports a non-integer."""
-
-    def integer(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
-        return value
-
-    return integer
-
-
-_SEED, _COUNT = _int_from(0), _int_from(1)
-
-
-def _real_in(low: float, high: float = math.inf, include_low: bool = True):
-    """argparse type: a finite float in [low, high), or in (low, high) without include_low."""
-
-    def real(text: str) -> float:
-        value = float(text)
-        above = low <= value if include_low else low < value
-        if not (above and value < high):  # false for NaN and both infinities
-            interval = f"{'[' if include_low else '('}{low:g}, {high:g})"
-            raise argparse.ArgumentTypeError(f"expected a finite number in {interval}, got {text}")
-        return value
-
-    return real
-
-
-_SLACK_TOL = _real_in(0.0)  # polytope slack tolerance
-_RESIDUAL_TOL = _real_in(0.0, include_low=False)  # fiber-sampler spectra residual
-_RANK_TOL = _real_in(0.0, 1.0, include_low=False)  # relative singular-value threshold
 
 
 def _point_from_tokens(tokens: list[str]) -> SpectraPoint:
@@ -317,10 +287,7 @@ def cmd_oracle_dim(args):
 
     point = _resolve_point(args)
     estimate = fiberlab.numeric_dim(
-        point,
-        n_samples=args.samples,
-        seeds=[args.seed + i for i in range(args.samples)],
-        **_settings(args, "tol", "rank_tol"),
+        point, n_samples=args.samples, seed=args.seed, **_settings(args, "tol", "rank_tol")
     )
     return estimate.document(), 0 if estimate.status == "ok" else 2
 
@@ -328,9 +295,8 @@ def cmd_oracle_dim(args):
 def cmd_selftest(args):
     from . import criteria  # loaded here so the other subcommands start without it
 
-    results = [criteria.run(c, args.samples, args.seed + c.id) for c in criteria.CRITERIA]
-    passed = all(r["passed"] for r in results)
-    return {"passed": passed, "criteria": results}, 0 if passed else 2
+    doc = criteria.selftest(args.samples, args.seed)
+    return doc, 0 if doc["passed"] else 2
 
 
 # --- parser wiring ----------------------------------------------------------
@@ -358,10 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", metavar="FILE", required=True, help="state-file path, or - for stdin")
 
     p = command("classify", cmd_classify, "boundary stratum of a point", point=True)
-    p.add_argument("--tol", type=_SLACK_TOL, help="slack tolerance for float points (>= 0)")
+    p.add_argument("--tol", type=float, help="slack tolerance for float points (>= 0)")
 
     p = command("dim", cmd_dim, "reduced-space dimension at a point", point=True)
-    p.add_argument("--tol", type=_SLACK_TOL, help="slack tolerance for float points (>= 0)")
+    p.add_argument("--tol", type=float, help="slack tolerance for float points (>= 0)")
 
     p = command("vertices", cmd_vertices, "vertex list of the region")
     p.add_argument("-L", type=int, required=True, help="number of qubits")
@@ -382,21 +348,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="pair-family weight (four qubits)")
     p.add_argument("--k1", type=int, help="verify stability for the first k1 qubits only")
     p.add_argument("--state", metavar="FILE", help="verify this state instead of constructing")
-    p.add_argument("--rank-tol", type=_RANK_TOL, help="relative singular-value threshold in (0, 1)")
+    p.add_argument("--rank-tol", type=float, help="relative singular-value threshold in (0, 1)")
 
     p = command("sample-fiber", cmd_sample_fiber, "find a state with given spectra", point=True)
-    p.add_argument("--seed", type=_SEED, default=0, help="random seed (>= 0)")
-    p.add_argument("--tol", type=_RESIDUAL_TOL, help="residual tolerance (> 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (>= 0)")
+    p.add_argument("--tol", type=float, help="residual tolerance (> 0)")
 
     p = command("oracle-dim", cmd_oracle_dim, "sampled reduced-space dimension", point=True)
-    p.add_argument("--samples", type=_COUNT, default=5, help="number of fiber samples (>= 1)")
-    p.add_argument("--seed", type=_SEED, default=0, help="base seed (>= 0); sample i uses seed+i")
-    p.add_argument("--tol", type=_RESIDUAL_TOL, help="residual tolerance (> 0)")
-    p.add_argument("--rank-tol", type=_RANK_TOL, help="relative singular-value threshold in (0, 1)")
+    p.add_argument("--samples", type=int, default=5,
+                   help="number of fiber samples (1..fiberlab.MAX_SAMPLES)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (>= 0); sample i uses seed+i")
+    p.add_argument("--tol", type=float, help="residual tolerance (> 0)")
+    p.add_argument("--rank-tol", type=float, help="relative singular-value threshold in (0, 1)")
 
     p = command("selftest", cmd_selftest, "the acceptance criteria at reduced counts")
-    p.add_argument("--samples", type=_COUNT, default=2, help="samples per randomized check (>= 1)")
-    p.add_argument("--seed", type=_SEED, default=0, help="base seed (>= 0); criterion N uses seed+N")
+    p.add_argument("--samples", type=int, default=2, help="samples per randomized check (>= 1)")
+    p.add_argument("--seed", type=int, default=0, help="base seed (>= 0); criterion N uses seed+N")
     return parser
 
 

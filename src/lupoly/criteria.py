@@ -1,8 +1,9 @@
 """The eight acceptance criteria, one implementation for the test gate and the selftest.
 
-Each check takes a sample count and a seed and returns a summary of what
-it checked.  A failure raises ``AssertionError`` with the values involved,
-never through an ``assert`` statement, so ``python -O`` cannot strip it.
+Each check takes a sample count (at least 1) and a seed (at least 0),
+which ``run`` checks, and returns a summary of what it checked.  A failure
+raises ``AssertionError`` with the values involved, never through an
+``assert`` statement, so ``python -O`` cannot strip it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .fiberlab import numeric_dim, rank_dmu
 from .polytope import (
     MAX_QUBITS,
     SpectraPoint,
+    check_int,
     facets,
     membership,
     random_interior_point,
@@ -230,6 +232,7 @@ CRITERIA = (
 
 def run(criterion: Criterion, samples: int, seed: int) -> dict:
     """Run one criterion; the entry has the fields of the selftest schema."""
+    samples, seed = check_int(samples, "samples", 1), check_int(seed, "seed", 0)
     start = time.perf_counter()
     try:
         detail, passed = criterion.check(samples, seed), True
@@ -242,3 +245,10 @@ def run(criterion: Criterion, samples: int, seed: int) -> dict:
         "seconds": round(time.perf_counter() - start, 3),
         "detail": detail,
     }
+
+
+def selftest(samples: int, seed: int) -> dict:
+    """The selftest document: every criterion at ``samples``, criterion N at seed + N."""
+    seed = check_int(seed, "seed", 0)
+    results = [run(c, samples, seed + c.id) for c in CRITERIA]
+    return {"passed": all(r["passed"] for r in results), "criteria": results}

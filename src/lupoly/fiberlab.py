@@ -32,9 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .polytope import SpectraPoint, StratumClass, _check_int, classify, membership
+from .polytope import SpectraPoint, StratumClass, check_int, check_real, classify, membership
 from .qstate import PureState, haar_state, pauli_images, psi_map
-from .stability import RANK_TOL, _check_tolerance, _rank_and_svals, _real_columns
+from .stability import RANK_TOL, _rank_and_svals, _real_columns
 from .wall import wall_state
 
 FIBER_TOL = 1e-10
@@ -47,6 +47,10 @@ MAX_RESTARTS = 5
 # numeric_dim descends at most this many Pauli-image entries (n * 3L * 2^L,
 # 4 MiB) as one stack: all samples at small L, one at a time at L = 12.
 STACK_ENTRIES = 2**18
+# numeric_dim refuses more samples than this before it allocates anything.
+# One L = 12 sample took 52-78 ms (one BLAS thread, 2-core x86-64 VM), so
+# MAX_SAMPLES of them take 27-40 s there.
+MAX_SAMPLES = 512
 
 
 @functools.lru_cache(maxsize=256)
@@ -162,14 +166,6 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray
     return best, best_f, iterations, restarts
 
 
-def _int_at_least(value, low: int, what: str) -> int:
-    """The value as an int if it is an integer >= low; numpy integers pass, bools and floats not."""
-    _check_int(value, what)
-    if value < low:
-        raise ValidationError(f"{what} must be at least {low}, got {value}")
-    return int(value)
-
-
 @dataclass(frozen=True, eq=False)
 class FiberSample:
     state: PureState
@@ -242,8 +238,8 @@ def sample_fiber(target: SpectraPoint, seed: int = 0, tol: float = FIBER_TOL) ->
     ConvergenceError
         If no attempt reaches the tolerance; never returns a near-miss.
     """
-    seed = _int_at_least(seed, 0, "seed")
-    _check_tolerance("residual tolerance", tol, math.inf)
+    seed = check_int(seed, "seed", 0)
+    tol = check_real(tol, "residual tolerance", 0.0, open_low=True)
     stratum = classify(target)  # refuses a target outside the admissible region
     return _fiber_samples(target, stratum, [seed], tol)[0][0]
 
@@ -418,7 +414,7 @@ def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float
 def numeric_dim(
     target: SpectraPoint,
     n_samples: int = 5,
-    seeds: Sequence[int] | None = None,
+    seed: int = 0,
     tol: float = FIBER_TOL,
     rank_tol: float = RANK_TOL,
 ) -> NumericDimEstimate:
@@ -431,9 +427,9 @@ def numeric_dim(
         at 1/2 and no tight wall.  Other strata are refused because the
         momentum differential drops rank there and the estimator would
         be silently wrong.
-    n_samples, seeds:
-        Number of independent fiber samples (at least 1); seeds default to
-        0..n_samples-1 and determine the samples completely.
+    n_samples, seed:
+        Number of independent fiber samples, 1..MAX_SAMPLES, and the base
+        seed (>= 0): sample i uses seed + i, which determines it completely.
 
     The estimate for each sample is
     (2^{L+1} - 2 - rank dmu) - (dim K_alpha - dim isotropy), with
@@ -443,13 +439,11 @@ def numeric_dim(
     singular value of dmu within ILL_CONDITION_BAND of the rank cut.
     ``tol`` must be a finite number > 0 and ``rank_tol`` lie in (0, 1).
     """
-    _check_tolerance("residual tolerance", tol, math.inf)
-    _check_tolerance("rank tolerance", rank_tol, 1.0)
-    n_samples = _int_at_least(n_samples, 1, "n_samples")
-    seeds = range(n_samples) if seeds is None else seeds
-    seeds = [_int_at_least(s, 0, "seed") for s in seeds]
-    if len(seeds) != n_samples:
-        raise ValidationError(f"expected {n_samples} seeds, got {len(seeds)}")
+    tol = check_real(tol, "residual tolerance", 0.0, open_low=True)
+    rank_tol = check_real(rank_tol, "rank tolerance", 0.0, 1.0, open_low=True)
+    n_samples = check_int(n_samples, "n_samples", 1, MAX_SAMPLES)
+    seed = check_int(seed, "seed", 0)
+    seeds = range(seed, seed + n_samples)
     stratum = classify(target)
     if stratum.k_half > 0 or stratum.tight_walls:
         raise ValidationError(

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .polytope import (MAX_QUBITS, SpectraPoint, _check_int, check_qubit_count, check_qubit_index,
+from .polytope import (MAX_QUBITS, SpectraPoint, check_int, check_qubit_count, check_qubit_index,
                        read_json)
 
 # Input states may be off unit norm by this much before rejection;
@@ -76,11 +76,9 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
-        if self.num_qubits != _num_qubits_for(amps.size):
-            raise ValidationError(
-                f"num_qubits={self.num_qubits} does not match {amps.size} amplitudes"
-            )
+        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+        L = _num_qubits_for(amps.size)
+        check_int(self.num_qubits, f"num_qubits of {amps.size} amplitudes", L, L)
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValidationError("amplitudes contain NaN or infinity")
         scale, _, norm = _norm_parts(amps)
@@ -110,13 +108,9 @@ class PureState:
     @classmethod
     def basis(cls, num_qubits: int, index: int) -> "PureState":
         """Computational basis state |index> on num_qubits qubits."""
-        check_qubit_count(num_qubits, 1, "PureState.basis")
-        _check_int(index, "basis index")
-        dim = 2**num_qubits
-        if not 0 <= index < dim:
-            raise ValidationError(f"basis index {index} out of range for {num_qubits} qubits")
+        dim = 2 ** check_qubit_count(num_qubits, 1, "PureState.basis")
         amps = np.zeros(dim, dtype=np.complex128)
-        amps[index] = 1.0
+        amps[check_int(index, "basis index", 0, dim - 1)] = 1.0
         return cls(num_qubits, amps)
 
     @property
@@ -281,7 +275,7 @@ def haar_state(num_qubits: int, rng: np.random.Generator) -> PureState:
 
 def random_state(num_qubits: int, seed: int) -> PureState:
     """Seeded Haar-random pure state (normalized complex Gaussian vector)."""
-    return haar_state(num_qubits, np.random.default_rng(seed))
+    return haar_state(num_qubits, np.random.default_rng(check_int(seed, "seed", 0)))
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:
@@ -293,7 +287,8 @@ def random_su2(rng: np.random.Generator) -> np.ndarray:
 
 
 def random_local_unitaries(num_qubits: int, rng: np.random.Generator) -> list[np.ndarray]:
-    return [random_su2(rng) for _ in range(num_qubits)]
+    L = check_qubit_count(num_qubits, 1, "random_local_unitaries")
+    return [random_su2(rng) for _ in range(L)]
 
 
 # --- state files -----------------------------------------------------------
@@ -308,10 +303,8 @@ def loads_state(text: str) -> PureState:
 def state_from_document(doc) -> PureState:
     if not isinstance(doc, dict) or "L" not in doc or "amplitudes" not in doc:
         raise ValidationError('state document must be {"L": ..., "amplitudes": [[re, im], ...]}')
-    L = doc["L"]
+    L = check_qubit_count(doc["L"], 1, "the state document")  # refuses true/false too
     raw = doc["amplitudes"]
-    if type(L) is not int or not 1 <= L <= MAX_QUBITS:  # refuses true/false too
-        raise ValidationError(f"L must be an integer in 1..{MAX_QUBITS}")
     if not isinstance(raw, list) or len(raw) != 2**L:
         raise ValidationError(f"expected 2**{L} = {2**L} amplitude entries, got {len(raw) if isinstance(raw, list) else type(raw).__name__}")
     amps = []

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .polytope import check_qubit_count, check_qubit_index
+from .polytope import check_qubit_count, check_qubit_index, check_real
 from .qstate import PureState, apply_slot_operator, momentum_map
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -69,11 +69,6 @@ def _real_columns(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
 
 
-def _check_tolerance(name: str, value: float, high: float) -> None:
-    if not 0.0 < value < high:  # false for NaN too
-        raise ValidationError(f"{name} must be a finite number in (0, {high:g}), got {value}")
-
-
 def _rank_and_svals(cols: np.ndarray, rank_tol: float) -> tuple:
     """Rank, singular values and conditioning flag of a matrix, or of each in a stack (B..., m, n).
 
@@ -81,7 +76,7 @@ def _rank_and_svals(cols: np.ndarray, rank_tol: float) -> tuple:
     is set when one lies within ILL_CONDITION_BAND of that cut.  For a stack the
     ranks and flags are nested lists of shape B, from one SVD call.
     """
-    _check_tolerance("rank tolerance", rank_tol, 1.0)
+    rank_tol = check_real(rank_tol, "rank tolerance", 0.0, 1.0, open_low=True)
     svals = np.linalg.svd(cols, compute_uv=False)
     cut = rank_tol * svals[..., :1]
     rank = (svals > cut).sum(axis=-1)
@@ -146,9 +141,7 @@ def stable_state(num_qubits: int, alpha: float | None = None) -> PureState:
     carries the weight alpha (default 2), and the weights 1 and -3 are
     rejected because the orbit rank drops there.
     """
-    L = num_qubits
-    if L < 4:
-        raise ValidationError("stable states are constructed for four or more qubits")
+    L = check_qubit_count(num_qubits, 4, "stable_state")
     if alpha is None:
         alpha = 2.0 if L == 4 else 1.0
     if L == 4 and alpha in (1.0, -3.0):
@@ -196,10 +189,7 @@ def verify_stable(
     is the orbit's compact rank.
     """
     L = state.num_qubits
-    if k1 is None:
-        k1 = L
-    check_qubit_index(k1, L, "k1")
-    k1 = int(k1)
+    k1 = L if k1 is None else check_qubit_index(k1, L, "k1")
 
     dev = float(np.abs(momentum_map(state)[:k1]).max())
     reductions_ok = dev <= REDUCTION_TOL

@@ -19,7 +19,7 @@ from itertools import combinations
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import (SpectraPoint, _check_int, check_qubit_count, check_qubit_index, membership,
+from .polytope import (SpectraPoint, check_int, check_qubit_count, check_qubit_index, membership,
                        slacks)
 
 # How tightly alpha must satisfy the wall equality.
@@ -46,9 +46,8 @@ def build_wall_operator(num_qubits: int, distinguished: int = 1) -> WallOperator
     Single-qubit systems are admitted (the operator is just diag(-1, 1));
     the wall inequality itself is only meaningful from two qubits up.
     """
-    L = num_qubits
-    check_qubit_count(L, 1, "the wall operator")
-    check_qubit_index(distinguished, L, "distinguished index")
+    L = check_qubit_count(num_qubits, 1, "the wall operator")
+    distinguished = check_qubit_index(distinguished, L, "distinguished index")
     xi = tuple(-1 if l == distinguished else 1 for l in range(1, L + 1))
     diag = (0,)
     for x in xi:  # qubit l at bit 0 adds +xi_l, at bit 1 adds -xi_l; qubit 1 is the top bit
@@ -83,13 +82,9 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     ket and the rest carry zeros exactly at the distinguished qubit
     and one further position, in ascending order.
     """
-    L = num_qubits
-    check_qubit_count(L, 1, "eigenspace_basis")
-    _check_int(k, "k")
-    if not 0 <= k <= L:
-        raise ValidationError(f"k={k} out of range 0..{L}")
-    check_qubit_index(distinguished, L, "distinguished index")
-    d = distinguished
+    L = check_qubit_count(num_qubits, 1, "eigenspace_basis")
+    k = check_int(k, "k", 0, L)
+    d = check_qubit_index(distinguished, L, "distinguished index")
     others = [l for l in range(1, L + 1) if l != d]
     full = 2**L - 1
 
@@ -113,7 +108,6 @@ def wall_state(
     alpha: SpectraPoint,
     phases,
     distinguished: int | None = None,
-    tol: float = WALL_TOL,
 ) -> "PureState":
     """Explicit fiber state over a wall point.
 
@@ -127,7 +121,8 @@ def wall_state(
         Real vector of L phases; entry l-1 multiplies the amplitude
         attached to qubit l.
     distinguished:
-        Which wall to use.  Detected automatically when omitted.
+        Which wall to use.  Detected automatically when omitted.  The
+        wall equality and membership must hold within WALL_TOL.
 
     The state is supported on the eigenvalue -L+2 eigenspace: amplitude
     sqrt(1/2 + lambda_d) on the all-ones ket and sqrt(1/2 - lambda_j)
@@ -136,7 +131,7 @@ def wall_state(
     L = alpha.num_qubits
     if L < 2:
         raise ValidationError("wall states need at least two qubits")
-    if not membership(alpha, tol=tol).member:
+    if not membership(alpha, tol=WALL_TOL).member:
         raise ValidationError("alpha is not an admissible spectra point")
     lams = alpha.lambdas
     if any(float(x) >= 0.5 for x in lams):
@@ -146,13 +141,13 @@ def wall_state(
         )
     walls = slacks(lams)[2 * L:]
     if distinguished is None:
-        matches = [d for d in range(1, L + 1) if abs(walls[d - 1]) <= tol]
+        matches = [d for d in range(1, L + 1) if abs(walls[d - 1]) <= WALL_TOL]
         if not matches:
             raise ValidationError("alpha does not satisfy any wall equality")
         distinguished = matches[0]
     else:
-        check_qubit_index(distinguished, L, "distinguished index")
-        if abs(walls[distinguished - 1]) > tol:
+        distinguished = check_qubit_index(distinguished, L, "distinguished index")
+        if abs(walls[distinguished - 1]) > WALL_TOL:
             raise ValidationError(
                 f"alpha does not satisfy the wall equality of qubit {distinguished}"
             )
@@ -217,8 +212,7 @@ def torus_transitivity_check(num_qubits: int) -> TorusCertificate:
     the fiber modulo global phase needs rank >= L-1 on the quotient by
     the global-phase direction (1, ..., 1).
     """
-    L = num_qubits
-    check_qubit_count(L, 3, "the torus certificate")
+    L = check_qubit_count(num_qubits, 3, "the torus certificate")
     rows = [[-1] * L]
     for l in range(2, L + 1):
         row = [-1] * L

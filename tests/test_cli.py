@@ -26,6 +26,7 @@ from lupoly import (
     stable_state,
 )
 from lupoly import cli, criteria
+from lupoly.fiberlab import MAX_SAMPLES
 from lupoly.qstate import MAX_QUBITS
 
 
@@ -67,7 +68,7 @@ class TestPinnedExamples:
         assert time.perf_counter() - start < 2.0
         assert code == 1 and doc is None
         error = json.loads(err)["error"]
-        assert error["type"] == "ValidationError" and "2..6 qubits" in error["message"]
+        assert error["type"] == "ValidationError" and "in 2..6, got 7" in error["message"]
 
     def test_dim_at_separable_vertex(self, capsys):
         code, doc, _ = run(capsys, "dim", "--lambda", "0.5,0.5,0.5,0.5")
@@ -144,27 +145,39 @@ class TestExitCodes:
         code, _, err = run(capsys, "dim", stdin=stdin, monkeypatch=monkeypatch)
         assert code == 1 and "not valid JSON" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        (
-            "sample-fiber --lambda 0.1,0.2,0.15 --seed -1",
-            "oracle-dim --lambda 0.1,0.1,0.1 --seed -1",
-            "oracle-dim --lambda 0.1,0.1,0.1 --samples 0",
-            "selftest --seed -1",
-            "selftest --samples 0",
-        ),
-    )
+    # argv -> the library's refusal: argument, interval and value
+    BOUNDS = {
+        "sample-fiber --lambda 0.1,0.2,0.15 --seed -1": "seed must be an integer >= 0, got -1",
+        "oracle-dim --lambda 0.1,0.1,0.1 --seed -1": "seed must be an integer >= 0, got -1",
+        "oracle-dim --lambda 0.1,0.1,0.1 --samples 0":
+            f"n_samples must be an integer in 1..{MAX_SAMPLES}, got 0",
+        "selftest --seed -1": "seed must be an integer >= 0, got -1",
+        "selftest --samples 0": "samples must be an integer >= 1, got 0",
+    }
+
+    @pytest.mark.parametrize("argv", BOUNDS)
     def test_seed_and_sample_bounds(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv.split())
-        assert exc.value.code == 1
-        assert "expected an integer >=" in capsys.readouterr().err
+        code, doc, err = run(capsys, *argv.split())
+        assert code == 1 and doc is None
+        error = json.loads(err)["error"]
+        assert error["type"] == "ValidationError" and error["message"] == self.BOUNDS[argv]
+
+    def test_huge_sample_count_is_refused_at_once(self):
+        argv = [sys.executable, "-m", "lupoly.cli", "oracle-dim", "--lambda", "0.1,0.1,0.1",
+                "--samples", "1000000000"]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+        start = time.perf_counter()
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=60)
+        assert time.perf_counter() - start < 2.0
+        assert proc.returncode == 1 and proc.stdout == ""
+        message = json.loads(proc.stderr)["error"]["message"]
+        assert message == f"n_samples must be an integer in 1..{MAX_SAMPLES}, got 1000000000"
 
     @pytest.mark.parametrize("command", ("stable", "xspec", "wall-check"))
     def test_qubit_count_past_the_bound(self, capsys, command):
         code, doc, err = run(capsys, command, "-L", str(MAX_QUBITS + 1))
         assert code == 1 and doc is None
-        assert f"..{MAX_QUBITS} qubits" in json.loads(err)["error"]["message"]
+        assert f"..{MAX_QUBITS}, got {MAX_QUBITS + 1}" in json.loads(err)["error"]["message"]
 
     @pytest.mark.parametrize(
         "stdin",
@@ -300,42 +313,51 @@ class TestExitCodes:
 
 class TestToleranceFlags:
     def refused(self, capsys, *argv):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(list(argv))
-        assert exc.value.code == 1
+        """The JSON error of an exit-1 refusal with nothing on stdout."""
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse: a token that is not a number, an unknown flag
+            code = exc.code
+        assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        return captured.err
+        error = json.loads(captured.err)["error"]
+        assert error["type"] == "ValidationError"
+        return error["message"]
 
     def test_infinite_slack_tolerance_rejected(self, capsys):
         err = self.refused(capsys, "dim", "--lambda", "0.1,0.2,0.15", "--tol", "inf")
-        assert "expected a finite number in [0, inf), got inf" in err
+        assert err == "slack tolerance must be a finite number in [0, inf), got inf"
 
     def test_nan_rank_tolerance_rejected(self, capsys):
         err = self.refused(capsys, "stable", "-L", "4", "--rank-tol", "nan")
-        assert "expected a finite number in (0, 1), got nan" in err
+        assert err == "rank tolerance must be a finite number in (0, 1), got nan"
 
     def test_negative_residual_tolerance_rejected(self, capsys):
         err = self.refused(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15", "--tol", "-1")
-        assert "expected a finite number in (0, inf), got -1" in err
+        assert err == "residual tolerance must be a finite number in (0, inf), got -1.0"
 
     @pytest.mark.parametrize(
-        "argv",
-        (("classify", "--lambda", "0.1,0.2,0.15", "--tol", "-1e-9"),
-         ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--tol", "0"),
-         ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--rank-tol", "1"),
-         ("stable", "-L", "4", "--rank-tol", "x")),
+        "argv, message",
+        ((("classify", "--lambda", "0.1,0.2,0.15", "--tol=-1e-9"),  # argparse reads -1e-9 as a flag
+          "slack tolerance must be a finite number in [0, inf), got -1e-09"),
+         (("oracle-dim", "--lambda", "0.1,0.2,0.15", "--tol", "0"),
+          "residual tolerance must be a finite number in (0, inf), got 0.0"),
+         (("oracle-dim", "--lambda", "0.1,0.2,0.15", "--rank-tol", "1"),
+          "rank tolerance must be a finite number in (0, 1), got 1.0"),
+         # argparse refuses a token that is no float: the message names flag and token
+         (("stable", "-L", "4", "--rank-tol", "x"),
+          "argument --rank-tol: invalid float value: 'x'")),
         ids=("negative-slack", "zero-residual", "rank-tol-one", "not-a-number"),
     )
-    def test_out_of_range_values_rejected(self, capsys, argv):
-        self.refused(capsys, *argv)
+    def test_out_of_range_values_rejected(self, capsys, argv, message):
+        assert self.refused(capsys, *argv).endswith(message)
 
     def test_config_file_is_not_an_option(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"tol": 1e-6}')
         err = self.refused(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", str(path))
-        error = json.loads(err)["error"]
-        assert error["type"] == "ValidationError" and "unrecognized arguments" in error["message"]
+        assert "unrecognized arguments" in err
 
     def test_zero_slack_tolerance_accepted(self, capsys):
         code, doc, _ = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--tol", "0")

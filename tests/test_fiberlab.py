@@ -524,17 +524,19 @@ class TestNumericDim:
         with pytest.raises(ValidationError, match="tolerance must be a finite number"):
             numeric_dim(INTERIOR3, n_samples=2, **kwargs)
 
-    def test_explicit_seeds_must_match_count(self):
-        with pytest.raises(ValidationError, match="expected 3 seeds"):
-            numeric_dim(INTERIOR3, n_samples=3, seeds=[1, 2])
-        with pytest.raises(ValidationError, match="n_samples must be at least 1, got 0"):
+    def test_sample_count_bounds(self, monkeypatch):
+        refuse_sampling(monkeypatch)
+        bound = rf"n_samples must be an integer in 1\.\.{fiberlab.MAX_SAMPLES}, got"
+        with pytest.raises(ValidationError, match=f"{bound} 0$"):
             numeric_dim(INTERIOR3, n_samples=0)
+        with pytest.raises(ValidationError, match=f"{bound} {fiberlab.MAX_SAMPLES + 1}$"):
+            numeric_dim(INTERIOR3, n_samples=fiberlab.MAX_SAMPLES + 1)
 
     @pytest.mark.parametrize(
         "kwargs, message",
-        (({"n_samples": 1, "seeds": [1.7]}, "seed must be an integer"),
-         ({"n_samples": 1, "seeds": [True]}, "seed must be an integer"),
-         ({"n_samples": 1, "seeds": [-1]}, "seed must be at least 0"),
+        (({"n_samples": 1, "seed": 1.7}, "seed must be an integer >= 0, got 1.7"),
+         ({"n_samples": 1, "seed": True}, "seed must be an integer >= 0, got True"),
+         ({"n_samples": 1, "seed": -1}, "seed must be an integer >= 0, got -1"),
          ({"n_samples": True}, "n_samples must be an integer"),
          ({"n_samples": 2.0}, "n_samples must be an integer")),
         ids=("float-seed", "bool-seed", "negative-seed", "bool-count", "float-count"),
@@ -545,13 +547,13 @@ class TestNumericDim:
             numeric_dim(INTERIOR3, **kwargs)
 
     def test_numpy_integer_seeds_accepted(self):
-        estimate = numeric_dim(INTERIOR3, n_samples=np.int64(2), seeds=np.array([7, 9]))
-        assert [a.seed for a in estimate.samples] == [7, 9]
+        estimate = numeric_dim(INTERIOR3, n_samples=np.int64(2), seed=np.int64(7))
+        assert [a.seed for a in estimate.samples] == [7, 8]
         assert all(type(a.seed) is int for a in estimate.samples)
 
     def test_sample_audits_recorded(self):
-        estimate = numeric_dim(INTERIOR3, n_samples=2, seeds=[7, 9])
-        assert [a.seed for a in estimate.samples] == [7, 9]
+        estimate = numeric_dim(INTERIOR3, n_samples=2, seed=7)
+        assert [a.seed for a in estimate.samples] == [7, 8]
         for audit in estimate.samples:
             assert audit.regular
             assert audit.rank_dmu == 9
@@ -565,7 +567,7 @@ class TestNumericDim:
         # a cut at twice the smallest singular value drops it, and it lies within the band
         svals = momentum_rank_report(sample_fiber(INTERIOR3, seed=0).state).singular_values
         cut = 2.0 * svals[-1]
-        estimate = numeric_dim(INTERIOR3, n_samples=1, seeds=[0], rank_tol=cut / svals[0])
+        estimate = numeric_dim(INTERIOR3, n_samples=1, seed=0, rank_tol=cut / svals[0])
         (audit,) = estimate.samples
         assert audit.rank_dmu == sum(s > cut for s in svals) < 9
         assert audit.dim_isotropy == 9 - audit.rank_dmu and not audit.regular

@@ -290,7 +290,7 @@ class TestVertices:
             vertices(13)
         with pytest.raises(ValidationError):
             vertices_oracle(9)
-        with pytest.raises(ValidationError, match="2..6 qubits"):
+        with pytest.raises(ValidationError, match="2..6, got 7"):
             vertices_oracle(7)
 
 
@@ -354,5 +354,5 @@ class TestSamplers:
         for L in range(3, 13):
             assert min(slacks(random_interior_point(L, rng).lambdas)) > INTERIOR_MARGIN
         # the two-qubit region is the segment lambda_1 = lambda_2: no interior
-        with pytest.raises(ValidationError, match="3..12 qubits, got 2"):
+        with pytest.raises(ValidationError, match="3..12, got 2"):
             random_interior_point(2, rng)

@@ -181,6 +181,13 @@ class TestValidation:
         with pytest.raises(ValidationError):
             PureState.from_amplitudes([np.nan, 1.0], renormalize=True)
 
+    def test_strided_amplitudes_build_the_contiguous_state(self):
+        a = np.zeros(16, dtype=np.complex128)
+        a[::2] = random_state(3, 5).amplitudes
+        strided = PureState(3, a[::2])
+        assert strided.amplitudes.tobytes() == PureState(3, a[::2].copy()).amplitudes.tobytes()
+        assert psi_map(strided) == psi_map(random_state(3, 5))
+
     def test_rejects_oversized_register(self):
         with pytest.raises(ValidationError):
             PureState(13, np.zeros(2**13))

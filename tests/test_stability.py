@@ -91,7 +91,7 @@ class TestGenerators:
 
     def test_qubit_count_bounds(self):
         amps = np.full(2 ** (MAX_QUBITS + 1), 2 ** (-(MAX_QUBITS + 1) / 2), dtype=np.complex128)
-        with pytest.raises(ValidationError, match=f"1..{MAX_QUBITS} qubits, got {MAX_QUBITS + 1}"):
+        with pytest.raises(ValidationError, match=f"1..{MAX_QUBITS}, got {MAX_QUBITS + 1}"):
             orbit_dimensions(PureState(MAX_QUBITS + 1, amps))
 
     @pytest.mark.parametrize("num_qubits", range(1, 9))
