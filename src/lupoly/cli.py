@@ -5,13 +5,14 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure
 (non-convergence or ill-conditioning), 3 internal invariant violation.
 Points enter either as an inline ``--lambda`` list, as a ``--state``
 file, or as a JSON document piped to standard input; exactly one
-source is accepted per invocation.  Tolerances are set by flags alone:
-``--tol`` is the slack tolerance of ``classify`` and ``dim`` and the
-residual tolerance of ``sample-fiber`` and ``oracle-dim``.
+source is accepted per invocation.  The one tolerance a user sets is
+the slack tolerance, ``--tol`` of ``classify`` and ``dim``; the fiber
+residual and the singular-value rank cut are fixed constants
+(``fiberlab.FIBER_TOL``, ``stability.RANK_TOL``).
 
 The parser only turns flag values into ints and floats.  The library
-call behind each flag checks its value, so a count, seed, index or
-tolerance out of range raises ``ValidationError`` and exits 1 with a
+call behind each flag checks its value, so a count, seed, index, weight
+or tolerance out of range raises ``ValidationError`` and exits 1 with a
 message that names the argument, the interval and the value.
 
 The numpy modules (``qstate``, ``fiberlab``, ``stability``) are imported
@@ -120,11 +121,6 @@ def _resolve_point(args) -> SpectraPoint:
     return qstate.psi_map(state)
 
 
-def _settings(args, *keys: str) -> dict:
-    """Keyword arguments for the tolerance flags that were given."""
-    return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-
 def _stratum_document(stratum) -> dict:
     return {
         "member": True,  # classify raises on a non-member
@@ -170,13 +166,13 @@ def cmd_psi(args):
 
 def cmd_classify(args):
     point = _resolve_point(args)
-    stratum = classify(point, **_settings(args, "tol"))
+    stratum = classify(point, tol=args.tol)
     return _stratum_document(stratum), 0
 
 
 def cmd_dim(args):
     point = _resolve_point(args)
-    stratum, report = dim_for_point(point, **_settings(args, "tol"))
+    stratum, report = dim_for_point(point, tol=args.tol)
     doc = report_document(report)
     doc["classification"] = _stratum_document(stratum)
     return doc, 0
@@ -255,7 +251,7 @@ def cmd_stable(args):
             raise ValidationError("pass -L to construct a state or --state to verify one")
         state = stability.stable_state(args.L, alpha=args.alpha)
         constructed = True
-    report = stability.verify_stable(state, k1=args.k1, **_settings(args, "rank_tol"))
+    report = stability.verify_stable(state, k1=args.k1)
     doc = {"num_qubits": state.num_qubits, "alpha": args.alpha}
     doc.update(report.document())
     if constructed:
@@ -268,7 +264,7 @@ def cmd_sample_fiber(args):
     from . import fiberlab, qstate
 
     point = _resolve_point(args)
-    sample = fiberlab.sample_fiber(point, seed=args.seed, **_settings(args, "tol"))
+    sample = fiberlab.sample_fiber(point, seed=args.seed)
     doc = {
         "num_qubits": sample.state.num_qubits,
         "target": [float(x) for x in sample.target.lambdas],
@@ -286,9 +282,7 @@ def cmd_oracle_dim(args):
     from . import fiberlab
 
     point = _resolve_point(args)
-    estimate = fiberlab.numeric_dim(
-        point, n_samples=args.samples, seed=args.seed, **_settings(args, "tol", "rank_tol")
-    )
+    estimate = fiberlab.numeric_dim(point, n_samples=args.samples, seed=args.seed)
     return estimate.document(), 0 if estimate.status == "ok" else 2
 
 
@@ -348,21 +342,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, help="pair-family weight (four qubits)")
     p.add_argument("--k1", type=int, help="verify stability for the first k1 qubits only")
     p.add_argument("--state", metavar="FILE", help="verify this state instead of constructing")
-    p.add_argument("--rank-tol", type=float, help="relative singular-value threshold in (0, 1)")
 
     p = command("sample-fiber", cmd_sample_fiber, "find a state with given spectra", point=True)
     p.add_argument("--seed", type=int, default=0, help="random seed (>= 0)")
-    p.add_argument("--tol", type=float, help="residual tolerance (> 0)")
 
     p = command("oracle-dim", cmd_oracle_dim, "sampled reduced-space dimension", point=True)
     p.add_argument("--samples", type=int, default=5,
                    help="number of fiber samples (1..fiberlab.MAX_SAMPLES)")
     p.add_argument("--seed", type=int, default=0, help="base seed (>= 0); sample i uses seed+i")
-    p.add_argument("--tol", type=float, help="residual tolerance (> 0)")
-    p.add_argument("--rank-tol", type=float, help="relative singular-value threshold in (0, 1)")
 
     p = command("selftest", cmd_selftest, "the acceptance criteria at reduced counts")
-    p.add_argument("--samples", type=int, default=2, help="samples per randomized check (>= 1)")
+    p.add_argument("--samples", type=int, default=2,
+                   help="samples per randomized check (1..fiberlab.MAX_SAMPLES)")
     p.add_argument("--seed", type=int, default=0, help="base seed (>= 0); criterion N uses seed+N")
     return parser
 

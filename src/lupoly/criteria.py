@@ -16,7 +16,7 @@ from math import ceil, comb
 import numpy as np
 
 from .dimension import dim_for_point
-from .fiberlab import numeric_dim, rank_dmu
+from .fiberlab import MAX_SAMPLES, numeric_dim, rank_dmu
 from .polytope import (
     MAX_QUBITS,
     SpectraPoint,
@@ -144,7 +144,7 @@ def _oracle_agreement(samples: int, seed: int) -> str:
         cases += [(point, None), (SpectraPoint((0.0, 0.0) + point.lambdas[2:]), None)]
     for target, want in cases:
         closed = dim_for_point(target)[1].dim_M
-        est = numeric_dim(target, n_samples=samples, rank_tol=1e-8)
+        est = numeric_dim(target, n_samples=samples)
         agree = est.status == "ok" and est.dim_estimate == closed and want in (None, closed)
         _check(agree, "numeric dim", closed=closed, want=want, estimate=est.document())
     return (
@@ -248,7 +248,12 @@ def run(criterion: Criterion, samples: int, seed: int) -> dict:
 
 
 def selftest(samples: int, seed: int) -> dict:
-    """The selftest document: every criterion at ``samples``, criterion N at seed + N."""
+    """The selftest document: every criterion at ``samples``, criterion N at seed + N.
+
+    ``samples`` is checked against criterion 5's bound, fiberlab.MAX_SAMPLES,
+    before any criterion runs; ``run`` alone takes larger counts.
+    """
+    samples = check_int(samples, "samples", 1, MAX_SAMPLES)
     seed = check_int(seed, "seed", 0)
     results = [run(c, samples, seed + c.id) for c in CRITERIA]
     return {"passed": all(r["passed"] for r in results), "criteria": results}

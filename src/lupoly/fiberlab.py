@@ -19,7 +19,9 @@ test and restarts, and ``sample_fiber`` is the one-row case.  Each
 sample is re-verified once through ``psi_map`` (a partial trace, not the
 Pauli images the descent uses), and the dmu and orbit ranks of a stack
 come from one SVD call each; the orbit ranks use ``apply_slot_operator``.
-MAX_ITERS and MAX_RESTARTS bound every descent; no entry point takes them.
+MAX_ITERS and MAX_RESTARTS bound every descent, every sample reaches the
+residual FIBER_TOL, and every rank cuts at ``stability.RANK_TOL``; no entry
+point takes any of them.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .polytope import SpectraPoint, StratumClass, check_int, check_real, classify, membership
+from .polytope import SpectraPoint, StratumClass, check_int, classify, membership
 from .qstate import PureState, haar_state, pauli_images, psi_map
-from .stability import RANK_TOL, _rank_and_svals, _real_columns
+from .stability import _rank_and_svals, _real_columns
 from .wall import wall_state
 
+# Every fiber sample reaches this Euclidean spectra distance, or raises.
 FIBER_TOL = 1e-10
 # A step costs one residual/Jacobian evaluation and one small solve, about
 # 0.1 ms at L = 6 on a 2-core x86-64 VM, so a call that fails on all
@@ -215,8 +218,8 @@ def _exact_start(stratum: StratumClass, target: SpectraPoint,
     return full.reshape(-1), "product"
 
 
-def sample_fiber(target: SpectraPoint, seed: int = 0, tol: float = FIBER_TOL) -> FiberSample:
-    """Find a normalized state whose shifted spectra match the target.
+def sample_fiber(target: SpectraPoint, seed: int = 0) -> FiberSample:
+    """Find a normalized state whose shifted spectra lie within FIBER_TOL of the target.
 
     Parameters
     ----------
@@ -224,8 +227,6 @@ def sample_fiber(target: SpectraPoint, seed: int = 0, tol: float = FIBER_TOL) ->
         Admissible spectra point (membership is enforced).
     seed:
         Seeds both the Haar starting points and any random phases.
-    tol:
-        Success requires the Euclidean spectra distance <= tol.
 
     An attempt tries at most MAX_ITERS steps, accepted or not, and at most
     MAX_RESTARTS fresh Haar starts follow; ``iterations`` counts all steps.
@@ -233,19 +234,17 @@ def sample_fiber(target: SpectraPoint, seed: int = 0, tol: float = FIBER_TOL) ->
     Raises
     ------
     ValidationError
-        If ``tol`` is not a finite number > 0, or the target lies outside
-        the admissible region.
+        If the seed is not an integer >= 0, or the target lies outside the
+        admissible region.
     ConvergenceError
-        If no attempt reaches the tolerance; never returns a near-miss.
+        If no attempt reaches FIBER_TOL; never returns a near-miss.
     """
     seed = check_int(seed, "seed", 0)
-    tol = check_real(tol, "residual tolerance", 0.0, open_low=True)
     stratum = classify(target)  # refuses a target outside the admissible region
-    return _fiber_samples(target, stratum, [seed], tol)[0][0]
+    return _fiber_samples(target, stratum, [seed])[0][0]
 
 
-def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[int],
-                   tol: float) -> list:
+def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[int]) -> list:
     """One fiber sample per seed, all descended as one stack.
 
     ``default_rng(seed)`` draws that row's exact or Haar start and its
@@ -261,18 +260,18 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
     amps = np.array([haar_state(L, rng).amplitudes if start is None else start[0]
                      for start, rng in zip(starts, rngs)])
     amps, f, iterations, restarts = _descend(
-        amps, L, t_arr, zero_mask, tol, MAX_ITERS, MAX_RESTARTS, rngs)
+        amps, L, t_arr, zero_mask, FIBER_TOL, MAX_ITERS, MAX_RESTARTS, rngs)
     out = []
     for i, seed in enumerate(seeds):
         state = PureState(L, amps[i])
         achieved = psi_map(state)
         residual = float(np.linalg.norm(achieved.as_array() - t_arr))
-        if f[i] > tol * tol:
+        if f[i] > FIBER_TOL * FIBER_TOL:
             raise ConvergenceError(
-                f"fiber sampling did not reach residual {tol:g} after {MAX_RESTARTS} restarts "
-                f"(best residual {residual:.3e})"
+                f"fiber sampling did not reach residual {FIBER_TOL:g} after {MAX_RESTARTS} "
+                f"restarts (best residual {residual:.3e})"
             )
-        if residual > tol:
+        if residual > FIBER_TOL:
             raise ConvergenceError(
                 f"fiber sample failed re-verification (spectra distance {residual:.3e})"
             )
@@ -320,15 +319,15 @@ class DmuReport:
     ill_conditioned: bool
 
 
-def momentum_rank_report(state: PureState, rank_tol: float = RANK_TOL) -> DmuReport:
+def momentum_rank_report(state: PureState) -> DmuReport:
     matrix = momentum_differential_matrix(state)
-    rank, svals, shaky = _rank_and_svals(matrix, rank_tol)
+    rank, svals, shaky = _rank_and_svals(matrix)
     return DmuReport(rank, tuple(float(s) for s in svals), _sv_gap(svals, rank), shaky)
 
 
-def rank_dmu(state: PureState, rank_tol: float = RANK_TOL) -> int:
+def rank_dmu(state: PureState) -> int:
     """Numerical real rank of the momentum differential at the state."""
-    return momentum_rank_report(state, rank_tol=rank_tol).rank
+    return momentum_rank_report(state).rank
 
 
 # --- dimension estimate ------------------------------------------------------
@@ -382,18 +381,18 @@ class NumericDimEstimate:
         }
 
 
-def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float,
-            rank_tol: float, dim_k_alpha: int, dim_proj: int) -> list:
+def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, dim_k_alpha: int,
+            dim_proj: int) -> list:
     """Audits of the seeds' samples, drawn as one stack; one SVD call ranks them all."""
     L = target.num_qubits
-    pairs = _fiber_samples(target, stratum, seeds, tol)
+    pairs = _fiber_samples(target, stratum, seeds)
     for sample, achieved in pairs:
         if not membership(achieved).member:
             raise ConvergenceError(
                 f"fiber sample failed re-verification (spectra distance {sample.residual:.3e})"
             )
     amps = np.stack([sample.state.amplitudes for sample, _ in pairs])
-    ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L), rank_tol)
+    ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L))
     audits = []
     for (sample, _), rank, sv, ill in zip(pairs, ranks, svals, shaky):
         iso = 3 * L - rank  # dim K.x = rank dmu
@@ -411,13 +410,7 @@ def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, tol: float
     return audits
 
 
-def numeric_dim(
-    target: SpectraPoint,
-    n_samples: int = 5,
-    seed: int = 0,
-    tol: float = FIBER_TOL,
-    rank_tol: float = RANK_TOL,
-) -> NumericDimEstimate:
+def numeric_dim(target: SpectraPoint, n_samples: int = 5, seed: int = 0) -> NumericDimEstimate:
     """Independent dimension estimate from fiber samples.
 
     Parameters
@@ -436,11 +429,9 @@ def numeric_dim(
     dim K_alpha counting 1 per nonzero coordinate and 3 per zero one.
     dim isotropy is 3L - rank dmu, since rank dmu = dim K.x.  The common
     integer is reported only when every sample agrees and is regular: no
-    singular value of dmu within ILL_CONDITION_BAND of the rank cut.
-    ``tol`` must be a finite number > 0 and ``rank_tol`` lie in (0, 1).
+    singular value of dmu within ILL_CONDITION_BAND of the rank cut
+    (``stability.RANK_TOL``).  Every sample lies within FIBER_TOL of the target.
     """
-    tol = check_real(tol, "residual tolerance", 0.0, open_low=True)
-    rank_tol = check_real(rank_tol, "rank tolerance", 0.0, 1.0, open_low=True)
     n_samples = check_int(n_samples, "n_samples", 1, MAX_SAMPLES)
     seed = check_int(seed, "seed", 0)
     seeds = range(seed, seed + n_samples)
@@ -457,8 +448,7 @@ def numeric_dim(
     per_stack = max(1, STACK_ENTRIES // (3 * L * 2**L))
     audits = []
     for first in range(0, n_samples, per_stack):
-        audits += _audits(target, stratum, seeds[first:first + per_stack], tol, rank_tol,
-                          dim_k_alpha, dim_proj)
+        audits += _audits(target, stratum, seeds[first:first + per_stack], dim_k_alpha, dim_proj)
 
     estimates = {a.estimate for a in audits}
     regular = all(a.regular for a in audits)

@@ -20,10 +20,12 @@ coordinates fall back to a tolerance.
 
 This module is the numpy-free base layer.  It also holds the point type
 ``SpectraPoint``, ``read_json`` and the package's two argument checks:
-``check_int`` for every count, index and seed and ``check_real`` for every
-tolerance.  So ``dimension``, ``wall`` and the exact CLI subcommands run
-without importing numpy; ``qstate`` re-exports the point type and the
-qubit checks.
+``check_int`` for every count, index and seed and ``check_real`` for the
+slack tolerance, the float coordinates and ``stable_state``'s weight.  The
+slack tolerance is the one tolerance a caller sets; MEMBER_TOL is its
+float default and also the wall tolerance of ``wall.wall_state``.  So
+``dimension``, ``wall`` and the exact CLI subcommands run without
+importing numpy; ``qstate`` re-exports the point type and the qubit checks.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -62,9 +63,8 @@ def check_int(value, what: str, low: int, high: int | None = None) -> int:
     raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
 
 
-def check_real(value, what: str, low: float, high: float = math.inf,
-               open_low: bool = False) -> float:
-    """The value as a float if it is a finite real number in [low, high), or (low, high).
+def check_real(value, what: str, low: float) -> float:
+    """The value as a float if it is a finite real number >= low.
 
     Python and numpy numbers pass; bools, numpy.bool_, strings, None, NaN and
     the infinities raise ValidationError, whose message names what, the
@@ -76,10 +76,9 @@ def check_real(value, what: str, low: float, high: float = math.inf,
             x = float(value)
         except OverflowError:  # an integer or fraction past the float range
             x = math.inf
-        if (low < x if open_low else low <= x) and x < high:  # false for NaN and infinities
+        if math.isfinite(x) and low <= x:
             return x
-    interval = f"{'(' if open_low else '['}{low:g}, {high:g})"
-    raise ValidationError(f"{what} must be a finite number in {interval}, got {value!r}")
+    raise ValidationError(f"{what} must be a finite number in [{low:g}, inf), got {value!r}")
 
 
 def check_qubit_count(num_qubits: int, low: int, what: str) -> int:
@@ -118,13 +117,9 @@ class SpectraPoint:
         lams = tuple(self.lambdas)
         if not lams:
             raise ValidationError("a spectra point needs at least one coordinate")
-        np = sys.modules.get("numpy")  # no numpy.bool_ exists before numpy is loaded
-        booleans = bool if np is None else (bool, np.bool_)
-        for x in lams:
-            if isinstance(x, booleans):
-                raise ValidationError("spectra coordinates must be numbers, not booleans")
-            if not isinstance(x, Rational) and not math.isfinite(float(x)):
-                raise ValidationError("spectra coordinates must be finite")
+        for x in lams:  # rationals stay exact; floats, bools and anything else are checked
+            if isinstance(x, (float, bool)) or not isinstance(x, Rational):
+                check_real(x, "spectra coordinate", -math.inf)
         object.__setattr__(self, "lambdas", lams)
 
     @property
@@ -151,7 +146,8 @@ HALF = Fraction(1, 2)
 # Inequality kinds in row order of ``slacks``.
 KINDS = ("lower", "upper", "wall")
 
-# Default slack tolerance for float-valued points.
+# Default slack tolerance for float-valued points; wall.wall_state holds its
+# membership and wall equality to it as well.
 MEMBER_TOL = 1e-9
 
 # The brute-force vertex oracle solves C(3L, L) exact systems, about 7 s at

@@ -9,6 +9,7 @@ once, for its orbit report and its k1 rank alike.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 GENERATORS = np.stack([1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z, E12, E21, SIGMA_Z])
 GENERATORS.flags.writeable = False
 
+# Every numerical rank counts the singular values above RANK_TOL times the largest.
 RANK_TOL = 1e-8
 REDUCTION_TOL = 1e-10
 # Singular values within this factor of the threshold are suspicious.
@@ -69,46 +71,44 @@ def _real_columns(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
 
 
-def _rank_and_svals(cols: np.ndarray, rank_tol: float) -> tuple:
+def _rank_and_svals(cols: np.ndarray) -> tuple:
     """Rank, singular values and conditioning flag of a matrix, or of each in a stack (B..., m, n).
 
-    The rank counts singular values above rank_tol times the largest; the flag
+    The rank counts singular values above RANK_TOL times the largest; the flag
     is set when one lies within ILL_CONDITION_BAND of that cut.  For a stack the
     ranks and flags are nested lists of shape B, from one SVD call.
     """
-    rank_tol = check_real(rank_tol, "rank tolerance", 0.0, 1.0, open_low=True)
     svals = np.linalg.svd(cols, compute_uv=False)
-    cut = rank_tol * svals[..., :1]
+    cut = RANK_TOL * svals[..., :1]
     rank = (svals > cut).sum(axis=-1)
     shaky = ((svals > cut / ILL_CONDITION_BAND) & (svals < cut * ILL_CONDITION_BAND)).any(axis=-1)
     return rank.tolist(), svals, shaky.tolist()
 
 
-def orbit_dimensions(state: PureState, rank_tol: float = RANK_TOL) -> OrbitReport:
+def orbit_dimensions(state: PureState) -> OrbitReport:
     """Orbit and isotropy dimensions from generator actions at the state.
 
     Each generator action is projected off the complex line through the
     state, so the phase direction never counts toward the orbit; a
     generator whose action is a pure phase therefore lands in the
     isotropy algebra.  Ranks are singular-value counts above
-    rank_tol times the top singular value.
+    RANK_TOL times the top singular value.
     """
-    return _orbit_report(_generator_actions(state.amplitudes, state.num_qubits), rank_tol)
+    return _orbit_report(_generator_actions(state.amplitudes, state.num_qubits))
 
 
-def _orbit_report(actions: np.ndarray, rank_tol: float) -> OrbitReport:
+def _orbit_report(actions: np.ndarray) -> OrbitReport:
     """The orbit report of one state's (L, 6, 2^L) generator actions."""
     L, _, dim = actions.shape
-    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3].reshape(-1, dim)),
-                                               rank_tol)
-    g_rank, g_svals, g_shaky = _rank_and_svals(actions[:, 3:].reshape(-1, dim).T, rank_tol)
+    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3].reshape(-1, dim)))
+    g_rank, g_svals, g_shaky = _rank_and_svals(actions[:, 3:].reshape(-1, dim).T)
     return OrbitReport(
         dim_K_orbit=k_rank,
         dim_G_orbit_complex=g_rank,
         dim_isotropy_algebra=3 * L - k_rank,
         compact_singular_values=tuple(float(s) for s in k_svals),
         complex_singular_values=tuple(float(s) for s in g_svals),
-        rank_tol=rank_tol,
+        rank_tol=RANK_TOL,
         ill_conditioned=k_shaky or g_shaky,
     )
 
@@ -138,18 +138,19 @@ def stable_state(num_qubits: int, alpha: float | None = None) -> PureState:
     """A zero-momentum state whose local orbit has full dimension.
 
     For L >= 5 the default weights are all 1; for L = 4 the GHZ pair
-    carries the weight alpha (default 2), and the weights 1 and -3 are
-    rejected because the orbit rank drops there.
+    carries the weight alpha (default 2), a finite real number, and the
+    weights 1 and -3 are rejected because the orbit rank drops there.
     """
     L = check_qubit_count(num_qubits, 4, "stable_state")
     if alpha is None:
         alpha = 2.0 if L == 4 else 1.0
+    alpha = check_real(alpha, "alpha", -math.inf)
     if L == 4 and alpha in (1.0, -3.0):
         raise ValidationError(
             f"alpha={alpha:g} is in the excluded set {{1, -3}}: the four-qubit "
             "family loses orbit rank there and stability fails"
         )
-    return complement_pair_state(L, float(alpha))
+    return complement_pair_state(L, alpha)
 
 
 @dataclass(frozen=True)
@@ -177,9 +178,7 @@ class StabilityReport:
         }
 
 
-def verify_stable(
-    state: PureState, k1: int | None = None, rank_tol: float = RANK_TOL
-) -> StabilityReport:
+def verify_stable(state: PureState, k1: int | None = None) -> StabilityReport:
     """Check stability with respect to the local group of the first k1 qubits.
 
     Requires (a) the first k1 reduced matrices to equal I/2 within
@@ -195,11 +194,10 @@ def verify_stable(
     reductions_ok = dev <= REDUCTION_TOL
 
     actions = _generator_actions(state.amplitudes, L)
-    orbit = _orbit_report(actions, rank_tol)
+    orbit = _orbit_report(actions)
     k1_rank = orbit.dim_K_orbit
     if k1 < L:
-        k1_rank, _, _ = _rank_and_svals(_real_columns(actions[:k1, :3].reshape(-1, state.dim)),
-                                        rank_tol)
+        k1_rank, _, _ = _rank_and_svals(_real_columns(actions[:k1, :3].reshape(-1, state.dim)))
     return StabilityReport(
         stable=bool(reductions_ok and k1_rank == 3 * k1),
         k1=k1,

@@ -19,11 +19,8 @@ from itertools import combinations
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import (SpectraPoint, check_int, check_qubit_count, check_qubit_index, membership,
-                       slacks)
-
-# How tightly alpha must satisfy the wall equality.
-WALL_TOL = 1e-9
+from .polytope import (MEMBER_TOL, SpectraPoint, check_int, check_qubit_count, check_qubit_index,
+                       membership, slacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,7 +119,7 @@ def wall_state(
         attached to qubit l.
     distinguished:
         Which wall to use.  Detected automatically when omitted.  The
-        wall equality and membership must hold within WALL_TOL.
+        wall equality and membership must hold within MEMBER_TOL.
 
     The state is supported on the eigenvalue -L+2 eigenspace: amplitude
     sqrt(1/2 + lambda_d) on the all-ones ket and sqrt(1/2 - lambda_j)
@@ -131,7 +128,7 @@ def wall_state(
     L = alpha.num_qubits
     if L < 2:
         raise ValidationError("wall states need at least two qubits")
-    if not membership(alpha, tol=WALL_TOL).member:
+    if not membership(alpha).member:
         raise ValidationError("alpha is not an admissible spectra point")
     lams = alpha.lambdas
     if any(float(x) >= 0.5 for x in lams):
@@ -141,13 +138,13 @@ def wall_state(
         )
     walls = slacks(lams)[2 * L:]
     if distinguished is None:
-        matches = [d for d in range(1, L + 1) if abs(walls[d - 1]) <= WALL_TOL]
+        matches = [d for d in range(1, L + 1) if abs(walls[d - 1]) <= MEMBER_TOL]
         if not matches:
             raise ValidationError("alpha does not satisfy any wall equality")
         distinguished = matches[0]
     else:
         distinguished = check_qubit_index(distinguished, L, "distinguished index")
-        if abs(walls[distinguished - 1]) > WALL_TOL:
+        if abs(walls[distinguished - 1]) > MEMBER_TOL:
             raise ValidationError(
                 f"alpha does not satisfy the wall equality of qubit {distinguished}"
             )

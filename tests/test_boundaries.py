@@ -1,4 +1,5 @@
-"""Every public count, index, seed and tolerance goes through one integer and one real check.
+"""Every public count, index, seed, tolerance, weight and float coordinate goes
+through one integer and one real check.
 
 Each entry below calls a public function with one argument replaced by a probe
 value.  Every probe must raise ``ValidationError``, whose message names the
@@ -24,14 +25,11 @@ from lupoly import (
     facets,
     haar_state,
     membership,
-    momentum_rank_report,
     numeric_dim,
-    orbit_dimensions,
     random_interior_point,
     random_local_unitaries,
     random_state,
     random_wall_point,
-    rank_dmu,
     reduce_one_qubit,
     sample_fiber,
     stable_state,
@@ -79,6 +77,7 @@ INTEGERS = {
     "numeric_dim.seed": lambda v: numeric_dim(POINT, seed=v),
     "criteria.run.samples": lambda v: criteria.run(CRITERION, v, 0),
     "criteria.run.seed": lambda v: criteria.run(CRITERION, 1, v),
+    "criteria.selftest.samples": lambda v: criteria.selftest(v, 0),
     "criteria.selftest.seed": lambda v: criteria.selftest(1, v),
 }
 # arguments whose default None has a meaning of its own
@@ -88,22 +87,23 @@ OPTIONAL_INTEGERS = {
 }
 REALS = {
     "membership.tol": lambda v: membership(POINT, tol=v),
-    "sample_fiber.tol": lambda v: sample_fiber(POINT, tol=v),
-    "numeric_dim.tol": lambda v: numeric_dim(POINT, tol=v),
-    "numeric_dim.rank_tol": lambda v: numeric_dim(POINT, rank_tol=v),
-    "rank_dmu.rank_tol": lambda v: rank_dmu(STATE, rank_tol=v),
-    "momentum_rank_report.rank_tol": lambda v: momentum_rank_report(STATE, rank_tol=v),
-    "orbit_dimensions.rank_tol": lambda v: orbit_dimensions(STATE, rank_tol=v),
-    "verify_stable.rank_tol": lambda v: verify_stable(STATE, rank_tol=v),
 }
 OPTIONAL_REALS = {
     "classify.tol": lambda v: classify(POINT, tol=v),
     "dim_for_point.tol": lambda v: dim_for_point(POINT, tol=v),
 }
+# any finite real passes
+UNBOUNDED_REALS = {
+    "SpectraPoint.coordinate": lambda v: SpectraPoint((v, 0.2, 0.15)),
+}
+OPTIONAL_UNBOUNDED_REALS = {
+    "stable_state.alpha": lambda v: stable_state(4, v),
+}
 
 PROBES = (True, np.True_, 2.5, math.nan, math.inf, "1", None)
-# 2.5 is a valid slack or residual tolerance; -1.0 lies outside every real interval here
+# 2.5 is a valid slack tolerance; -1.0 lies outside its interval
 REAL_PROBES = (True, np.True_, -1.0, math.nan, math.inf, -math.inf, "1", None)
+UNBOUNDED_PROBES = (True, np.True_, math.nan, math.inf, -math.inf, "1", None, 1j, [0.1])
 
 
 def table(calls, probes, skip_none=False):
@@ -118,7 +118,9 @@ def table(calls, probes, skip_none=False):
 @pytest.mark.parametrize(
     "call, probe",
     table(INTEGERS, PROBES) + table(OPTIONAL_INTEGERS, PROBES, skip_none=True)
-    + table(REALS, REAL_PROBES) + table(OPTIONAL_REALS, REAL_PROBES, skip_none=True),
+    + table(REALS, REAL_PROBES) + table(OPTIONAL_REALS, REAL_PROBES, skip_none=True)
+    + table(UNBOUNDED_REALS, UNBOUNDED_PROBES)
+    + table(OPTIONAL_UNBOUNDED_REALS, UNBOUNDED_PROBES, skip_none=True),
 )
 def test_bad_value_is_a_validation_error(call, probe):
     with pytest.raises(ValidationError, match=re.escape(f"got {probe!r}") + "$"):
@@ -137,8 +139,12 @@ REPORTED = {
     "state-negative-seed": (lambda: random_state(3, -1), "seed must be an integer >= 0, got -1"),
     "membership-bool-tol": (lambda: membership(POINT, tol=True),
                             "slack tolerance must be a finite number in [0, inf), got True"),
-    "fiber-none-tol": (lambda: sample_fiber(POINT, tol=None),
-                       "residual tolerance must be a finite number in (0, inf), got None"),
+    "selftest-samples-past-criterion-5": (lambda: criteria.selftest(600, 0),
+                                          "samples must be an integer in 1..512, got 600"),
+    "alpha-string": (lambda: stable_state(4, "1"),
+                     "alpha must be a finite number in [-inf, inf), got '1'"),
+    "coordinate-string": (lambda: SpectraPoint(("0.1", 0.2, 0.15)),
+                          "spectra coordinate must be a finite number in [-inf, inf), got '0.1'"),
     "int-past-float-range": (lambda: membership(POINT, tol=10**400),
                              f"slack tolerance must be a finite number in [0, inf), got {10**400}"),
 }
@@ -155,15 +161,16 @@ def test_once_accepted_or_raw_errors(case):
 def test_numpy_scalars_pass_as_plain_values():
     assert type(check_int(np.int64(3), "n", 1)) is int
     assert type(check_real(np.float64(0.5), "x", 0.0)) is float
-    assert check_real(np.float32(0.25), "x", 0.0, 1.0, open_low=True) == 0.25
-    sample = sample_fiber(POINT, seed=np.int64(3), tol=np.float64(1e-10))
+    assert check_real(np.float32(0.25), "x", 0.0) == 0.25
+    sample = sample_fiber(POINT, seed=np.int64(3))
     assert type(sample.seed) is int and sample.seed == 3
-    estimate = numeric_dim(POINT, n_samples=np.int64(2), seed=np.int64(4),
-                           tol=np.float64(1e-10), rank_tol=np.float64(1e-8))
+    estimate = numeric_dim(POINT, n_samples=np.int64(2), seed=np.int64(4))
     assert [a.seed for a in estimate.samples] == [4, 5] and estimate.status == "ok"
     assert membership(POINT, tol=np.float64(0.0)).member
     assert classify(POINT, tol=np.float64(1e-6)).residual_L == 3
-    assert verify_stable(stable_state(np.int64(5)), k1=np.int64(3), rank_tol=np.float64(1e-8))
+    assert classify(SpectraPoint((np.float64(0.1), np.float32(0.2), 0.15))).residual_L == 3
+    assert verify_stable(stable_state(4, np.float64(2.0)))
+    assert verify_stable(stable_state(np.int64(5)), k1=np.int64(3))
     assert criteria.run(CRITERION, np.int64(1), np.int64(0))["passed"]
     assert PureState.basis(np.int64(2), np.int64(3)).amplitudes[3] == 1.0
     assert random_state(np.int64(2), np.int64(0)).num_qubits == 2

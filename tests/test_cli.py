@@ -152,7 +152,11 @@ class TestExitCodes:
         "oracle-dim --lambda 0.1,0.1,0.1 --samples 0":
             f"n_samples must be an integer in 1..{MAX_SAMPLES}, got 0",
         "selftest --seed -1": "seed must be an integer >= 0, got -1",
-        "selftest --samples 0": "samples must be an integer >= 1, got 0",
+        "selftest --samples 0": f"samples must be an integer in 1..{MAX_SAMPLES}, got 0",
+        # refused before any criterion runs, and named by the flag
+        f"selftest --samples {MAX_SAMPLES + 1}":
+            f"samples must be an integer in 1..{MAX_SAMPLES}, got {MAX_SAMPLES + 1}",
+        "stable -L 4 --alpha nan": "alpha must be a finite number in [-inf, inf), got nan",
     }
 
     @pytest.mark.parametrize("argv", BOUNDS)
@@ -329,35 +333,32 @@ class TestToleranceFlags:
         err = self.refused(capsys, "dim", "--lambda", "0.1,0.2,0.15", "--tol", "inf")
         assert err == "slack tolerance must be a finite number in [0, inf), got inf"
 
-    def test_nan_rank_tolerance_rejected(self, capsys):
-        err = self.refused(capsys, "stable", "-L", "4", "--rank-tol", "nan")
-        assert err == "rank tolerance must be a finite number in (0, 1), got nan"
-
-    def test_negative_residual_tolerance_rejected(self, capsys):
-        err = self.refused(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15", "--tol", "-1")
-        assert err == "residual tolerance must be a finite number in (0, inf), got -1.0"
-
     @pytest.mark.parametrize(
         "argv, message",
         ((("classify", "--lambda", "0.1,0.2,0.15", "--tol=-1e-9"),  # argparse reads -1e-9 as a flag
           "slack tolerance must be a finite number in [0, inf), got -1e-09"),
-         (("oracle-dim", "--lambda", "0.1,0.2,0.15", "--tol", "0"),
-          "residual tolerance must be a finite number in (0, inf), got 0.0"),
-         (("oracle-dim", "--lambda", "0.1,0.2,0.15", "--rank-tol", "1"),
-          "rank tolerance must be a finite number in (0, 1), got 1.0"),
          # argparse refuses a token that is no float: the message names flag and token
-         (("stable", "-L", "4", "--rank-tol", "x"),
-          "argument --rank-tol: invalid float value: 'x'")),
-        ids=("negative-slack", "zero-residual", "rank-tol-one", "not-a-number"),
+         (("classify", "--lambda", "0.1,0.2,0.15", "--tol", "x"),
+          "argument --tol: invalid float value: 'x'")),
+        ids=("negative-slack", "not-a-number"),
     )
     def test_out_of_range_values_rejected(self, capsys, argv, message):
         assert self.refused(capsys, *argv).endswith(message)
 
-    def test_config_file_is_not_an_option(self, capsys, tmp_path):
-        path = tmp_path / "cfg.json"
-        path.write_text('{"tol": 1e-6}')
-        err = self.refused(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--config", str(path))
-        assert "unrecognized arguments" in err
+    # the fiber residual and the rank cut are constants; --tol is the slack tolerance alone
+    @pytest.mark.parametrize(
+        "argv",
+        (("classify", "--lambda", "0.1,0.2,0.15", "--config", "cfg.json"),
+         ("stable", "-L", "4", "--rank-tol", "1e-8"),
+         ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--rank-tol", "1e-8"),
+         ("sample-fiber", "--lambda", "0.1,0.2,0.15", "--tol", "1e-6"),
+         ("oracle-dim", "--lambda", "0.1,0.2,0.15", "--tol", "1e-6")),
+        ids=("config", "stable-rank-tol", "oracle-rank-tol", "fiber-tol", "oracle-tol"),
+    )
+    def test_config_file_is_not_an_option(self, capsys, tmp_path, monkeypatch, argv):
+        (tmp_path / "cfg.json").write_text('{"tol": 1e-6}')
+        monkeypatch.chdir(tmp_path)
+        assert "unrecognized arguments" in self.refused(capsys, *argv)
 
     def test_zero_slack_tolerance_accepted(self, capsys):
         code, doc, _ = run(capsys, "classify", "--lambda", "0.1,0.2,0.15", "--tol", "0")

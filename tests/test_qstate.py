@@ -226,7 +226,7 @@ class TestSpectraPoint:
     @pytest.mark.parametrize("flag", (True, False, np.True_))
     def test_rejects_booleans(self, flag):
         # bool is a numbers.Rational, so without a check True would pass as 1
-        with pytest.raises(ValidationError, match="booleans"):
+        with pytest.raises(ValidationError, match="spectra coordinate must be a finite number"):
             SpectraPoint((flag, 0.1, 0.1))
 
     def test_as_array_round_trip(self):

@@ -1,7 +1,6 @@
 """The generator table, orbit/isotropy ranks, and the stable zero-momentum families."""
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -113,8 +112,8 @@ class TestGenerators:
         for state in reference_states():
             L = state.num_qubits
             compact_cols, complex_cols = reference_columns(state)
-            k_rank, k_svals, k_shaky = _rank_and_svals(compact_cols, 1e-8)
-            g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols, 1e-8)
+            k_rank, k_svals, k_shaky = _rank_and_svals(compact_cols)
+            g_rank, g_svals, g_shaky = _rank_and_svals(complex_cols)
             report = orbit_dimensions(state)
             assert (report.dim_K_orbit, report.dim_G_orbit_complex) == (k_rank, g_rank)
             assert report.dim_isotropy_algebra == 3 * L - k_rank
@@ -122,7 +121,7 @@ class TestGenerators:
             assert np.allclose(report.compact_singular_values, k_svals, rtol=0, atol=1e-12)
             assert np.allclose(report.complex_singular_values, g_svals, rtol=0, atol=1e-12)
             for k1 in {1, L // 2 or 1, L}:
-                want, _, _ = _rank_and_svals(compact_cols[:, : 3 * k1], 1e-8)
+                want, _, _ = _rank_and_svals(compact_cols[:, : 3 * k1])
                 stability = verify_stable(state, k1=k1)
                 assert stability.k1_rank == want
                 assert stability.stable == (stability.reductions_ok and want == 3 * k1)
@@ -151,11 +150,6 @@ class TestOrbitDimensions:
             assert report.dim_K_orbit + report.dim_isotropy_algebra == 3 * num_qubits
             assert report.dim_K_orbit <= 3 * num_qubits
             assert report.dim_G_orbit_complex <= 3 * num_qubits
-
-    @pytest.mark.parametrize("rank_tol", (0.0, 1.0, 2.0, -1e-8, math.nan, math.inf))
-    def test_bad_rank_tolerance_refused(self, rank_tol):
-        with pytest.raises(ValidationError, match="rank tolerance must be a finite number"):
-            orbit_dimensions(GHZ3, rank_tol=rank_tol)
 
     def test_document_carries_singular_values(self):
         doc = orbit_dimensions(GHZ3).document()
@@ -244,12 +238,6 @@ class TestVerifyStable:
         report = verify_stable(stable_state(5), k1=3)
         assert report.stable
         assert report.k1 == 3 and report.required_rank == 9
-
-    @pytest.mark.parametrize("rank_tol", (math.nan, 0.0, 1.5))
-    def test_bad_rank_tolerance_refused(self, rank_tol):
-        # NaN would fail every singular-value cut (stable False, k1_rank 0)
-        with pytest.raises(ValidationError, match="rank tolerance must be a finite number"):
-            verify_stable(stable_state(4), rank_tol=rank_tol)
 
     def test_k1_bounds(self):
         with pytest.raises(ValidationError):
