@@ -56,12 +56,10 @@ _LAZY = {
     "dump_state": "qstate",
     "haar_state": "qstate",
     "load_state": "qstate",
-    "loads_state": "qstate",
     "momentum_map": "qstate",
     "psi_map": "qstate",
     "purity_invariants": "qstate",
     "random_local_unitaries": "qstate",
-    "random_state": "qstate",
     "reduce_one_qubit": "qstate",
     "state_document": "qstate",
     "state_from_document": "qstate",
@@ -133,7 +131,6 @@ __all__ = [
     "facets",
     "haar_state",
     "load_state",
-    "loads_state",
     "membership",
     "momentum_map",
     "momentum_differential_matrix",
@@ -144,7 +141,6 @@ __all__ = [
     "purity_invariants",
     "random_interior_point",
     "random_local_unitaries",
-    "random_state",
     "random_wall_point",
     "rank_dmu",
     "reduce_one_qubit",

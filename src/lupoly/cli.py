@@ -318,10 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", metavar="FILE", required=True, help="state-file path, or - for stdin")
 
     p = command("classify", cmd_classify, "boundary stratum of a point", point=True)
-    p.add_argument("--tol", type=float, help="slack tolerance for float points (>= 0)")
+    p.add_argument("--tol", type=float, help="slack tolerance for float points, in [0, 1/4)")
 
     p = command("dim", cmd_dim, "reduced-space dimension at a point", point=True)
-    p.add_argument("--tol", type=float, help="slack tolerance for float points (>= 0)")
+    p.add_argument("--tol", type=float, help="slack tolerance for float points, in [0, 1/4)")
 
     p = command("vertices", cmd_vertices, "vertex list of the region")
     p.add_argument("-L", type=int, required=True, help="number of qubits")

@@ -30,13 +30,15 @@ from .polytope import (
 )
 from .qstate import (
     apply_local_unitary,
+    apply_slot_operator,
     haar_state,
     momentum_map,
     psi_map,
     purity_invariants,
     random_local_unitaries,
 )
-from .stability import complement_pair_state, orbit_dimensions, stable_state, verify_stable
+from .stability import (_rank_and_svals, complement_pair_state, orbit_dimensions, stable_state,
+                        verify_stable)
 from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_check, wall_state
 
 # Four-qubit vertex labels; a "1" digit is the coordinate 1/2, a "0" is 0.
@@ -183,6 +185,18 @@ def _wall_certificate(samples: int, seed: int) -> str:
     return f"torus rank L=3..10; {samples} wall states per L=3,4,5 within 1e-10"
 
 
+def _isotropy_dim(state) -> int:
+    """3L minus the rank of i sigma_k phi projected off phi, each applied by
+    ``apply_slot_operator``: another kernel than the Pauli images of ``rank_dmu``."""
+    L, phi, cols = state.num_qubits, state.amplitudes, []
+    for l in range(1, L + 1):
+        for sigma in ([[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]):
+            w = apply_slot_operator(phi, 1j * np.array(sigma), L, l)
+            w -= np.vdot(phi, w) * phi
+            cols.append(np.concatenate([w.real, w.imag]))
+    return 3 * L - _rank_and_svals(np.stack(cols, axis=1))[0]
+
+
 def _property_suites(samples: int, seed: int) -> str:
     for L in (2, 3, 4, 5):
         rng = np.random.default_rng(seed + L)
@@ -209,7 +223,7 @@ def _property_suites(samples: int, seed: int) -> str:
     for i in range(dualities):
         L = 2 + i % 3
         state = haar_state(L, rng)
-        iso = orbit_dimensions(state).dim_isotropy_algebra
+        iso = _isotropy_dim(state)
         _expect(rank_dmu(state), 3 * L - iso, "rank dmu vs 3L - dim isotropy", L=L)
     checks = "membership, purity, equivariance"
     return f"{samples} Haar states per L=2..5: {checks}; {dualities} rank dualities"

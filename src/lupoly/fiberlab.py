@@ -8,17 +8,18 @@ two can be compared honestly:
   spectra residuals over the unit sphere (with exact constructions for
   product, Schmidt, and tight-wall targets, where no descent is needed).
 * ``rank_dmu``: numerical rank of the momentum differential at a state,
-  whose matrix is the residual Jacobian with every qubit masked.
+  whose columns are the projected Pauli images in real coordinates.
 * ``numeric_dim``: assembles per-sample estimates
   (dim P(H) - rank dmu) - (dim K_alpha - dim isotropy) and reports the
   common value only when every sample agrees and looks regular.
 
 The descent works on a stack of states, shape (n, 2^L): ``numeric_dim``
 descends its n samples together, each row with its own damping, stop
-test and restarts, and ``sample_fiber`` is the one-row case.  Each
-sample is re-verified once through ``psi_map`` (a partial trace, not the
-Pauli images the descent uses), and the dmu and orbit ranks of a stack
-come from one SVD call each; the orbit ranks use ``apply_slot_operator``.
+test and restarts, and ``sample_fiber`` is the one-row case.  The
+residual Jacobian and the dmu matrix both read ``qstate.pauli_images``.
+Each sample is re-verified once through ``psi_map`` (a partial trace, not
+the Pauli images), and the dmu ranks of a stack come from one SVD call;
+the compact orbit columns are J dmu / 2, so no orbit SVD is taken.
 MAX_ITERS and MAX_RESTARTS bound every descent, every sample reaches the
 residual FIBER_TOL, and every rank cuts at ``stability.RANK_TOL``; no entry
 point takes any of them.
@@ -73,19 +74,18 @@ def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, zero_m
     """Residuals e of the spectra map and their tangent Jacobian rows g, per state.
 
     ``amps`` is one amplitude vector or a stack (..., 2^L); e has shape
-    (..., m) and g (..., m, 2^L).  With S the Pauli images of phi, the Bloch
-    vectors are r = Re(S conj(phi)) and lambda = |r|/2.  A qubit with a
+    (..., m) and g (..., m, 2^L).  With S the projected Pauli images of phi
+    and z = <phi|sigma|phi> from ``pauli_images``, the Bloch vectors are
+    r = Re z and lambda = |r|/2.  A qubit with a
     nonzero target gives e_l = lambda_l - t_l with row g_l = rhat_l . S_l
     (rhat = z where r = 0); a zero_mask qubit gives the three components
     r_l/2 with rows S_l, which are smooth through the spectral degeneracy.
-    Rows are projected off phi, so a tangent step delta changes e_i by
-    Re<g_i, delta> to first order; f = e.e is the objective.
+    Rows lie off phi, so a tangent step delta changes e_i by Re<g_i, delta>
+    to first order; f = e.e is the objective.
     """
     batch = amps.shape[:-1]
     order = _residual_order(L, np.asarray(zero_mask, dtype=bool).tobytes())
-    images = pauli_images(amps, L)
-    z = (images @ amps.conj()[..., None])[..., 0]
-    images -= z[..., None] * amps[..., None, :]
+    images, z = pauli_images(amps, L)
     r = z.real.reshape(batch + (L, 3))
     norm = np.sqrt(np.einsum("...ij,...ij->...i", r, r))
     unit = r / np.where(norm > 0.0, norm, 1.0)[..., None]
@@ -287,17 +287,16 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
 
 def _dmu_matrices(amps: np.ndarray, L: int) -> np.ndarray:
     """The momentum differential (2^{L+1}, 3L) at one state, or at each state of a stack."""
-    _, rows = _residuals_and_jacobian(amps, L, np.zeros(L), np.ones(L, dtype=bool))
-    return 2.0 * _real_columns(rows)
+    return 2.0 * _real_columns(pauli_images(amps, L)[0])
 
 
 def momentum_differential_matrix(state: PureState) -> np.ndarray:
     """Real matrix of the momentum differential at the state, shape (2^{L+1}, 3L).
 
-    It is the residual Jacobian with every qubit masked, whose residuals
-    r_l/2 are the momentum map: column 3(l-1)+k is 2 [Re P; Im P] for P the
-    image sigma_k@l phi projected off phi, so its real pairing with
-    (Re v, Im v) is 2 Re<P, v>.  Every column is real-orthogonal to phi and
+    Column 3(l-1)+k is 2 [Re P; Im P] for P the image sigma_k@l phi
+    projected off phi (row 3(l-1)+k of ``pauli_images``), so its real
+    pairing with (Re v, Im v) is 2 Re<P, v>, the derivative of the Bloch
+    component r_lk along v.  Every column is real-orthogonal to phi and
     i*phi, so rank and nonzero singular values are those of dmu on the
     projective tangent space, with no tangent frame built.
     """

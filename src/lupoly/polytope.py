@@ -22,10 +22,11 @@ This module is the numpy-free base layer.  It also holds the point type
 ``SpectraPoint``, ``read_json`` and the package's two argument checks:
 ``check_int`` for every count, index and seed and ``check_real`` for the
 slack tolerance, the float coordinates and ``stable_state``'s weight.  The
-slack tolerance is the one tolerance a caller sets; MEMBER_TOL is its
-float default and also the wall tolerance of ``wall.wall_state``.  So
-``dimension``, ``wall`` and the exact CLI subcommands run without
-importing numpy; ``qstate`` re-exports the point type and the qubit checks.
+slack tolerance (below 1/4 in ``classify``) is the one tolerance a caller
+sets; MEMBER_TOL is its float default and also the wall tolerance of
+``wall.wall_state``.  So ``dimension``, ``wall`` and the exact CLI
+subcommands run without importing numpy; ``qstate`` re-exports the point
+type and the qubit checks.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
     point:
         Candidate spectra point.  Must satisfy membership.
     tol:
-        Slack tolerance.  Defaults to 0 for exact rational points and
-        to MEMBER_TOL for float-valued ones.
+        Slack tolerance below 1/4, where a coordinate could count as both 0
+        and 1/2.  Defaults to 0 for exact points and to MEMBER_TOL for floats.
 
     Order of detection: coordinates at 1/2 are stripped, a residual
     system with fewer than three qubits is marked degenerate, then
@@ -243,6 +244,8 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
     """
     if tol is None:
         tol = 0.0 if point.is_exact else MEMBER_TOL
+    elif check_real(tol, "slack tolerance", 0.0) >= 0.25:
+        raise ValidationError(f"slack tolerance must be a finite number in [0, 1/4), got {tol!r}")
     res = membership(point, tol=tol)
     if not res.member:
         worst = min(s for _, s in res.violations)

@@ -68,8 +68,9 @@ class PureState:
     """Normalized pure state of ``num_qubits`` qubits.
 
     The amplitude array is stored read-only.  Construction rejects
-    vectors whose norm deviates from 1 by more than ``NORM_TOL`` unless
-    renormalization is requested explicitly.
+    vectors whose norm deviates from 1 by more than ``NORM_TOL`` and
+    divides the rest by their norm; only ``from_amplitudes(...,
+    renormalize=True)`` rescales an arbitrary nonzero vector first.
     """
 
     num_qubits: int
@@ -85,8 +86,8 @@ class PureState:
         norm *= scale  # inf where the norm exceeds the float range
         if abs(norm - 1.0) > NORM_TOL:
             raise ValidationError(
-                f"unnormalized state (norm deviation {abs(norm - 1.0):.3e} > {NORM_TOL:g}); "
-                "pass renormalize=True to from_amplitudes if this is intended"
+                f"unnormalized state: the norm must be 1 within NORM_TOL = {NORM_TOL:g}, "
+                f"got a deviation of {abs(norm - 1.0):.3e}"
             )
         amps = amps / norm
         amps.flags.writeable = False
@@ -211,17 +212,9 @@ def _check_special_unitary(g: np.ndarray) -> None:
 
 
 def apply_slot_operator(amps: np.ndarray, op: np.ndarray, num_qubits: int, l: int) -> np.ndarray:
-    """Apply a single-qubit operator, or a stack (..., 2, 2) of them, at slot l (1-based).
-
-    ``amps`` is one amplitude vector or a stack (B..., 2^L) of them.  Returns
-    the images, shape B + op.shape[:-2] + (2^L,): one per state and stacked operator.
-    """
-    batch = amps.shape[:-1]
-    t = amps.reshape(batch + (2,) * num_qubits)
-    out = np.tensordot(op, t, axes=([-1], [len(batch) + l - 1]))  # (ops..., 2, B..., other slots)
-    b, k = len(batch), op.ndim - 2
-    out = np.moveaxis(out, range(k + 1), [*range(b, b + k), b + k + l - 1])
-    return out.reshape(batch + op.shape[:-2] + (-1,))
+    """Apply a single-qubit operator (2, 2) at slot l (1-based) to amplitudes (2^L,)."""
+    t = np.tensordot(op, amps.reshape((2,) * num_qubits), axes=([1], [l - 1]))
+    return np.moveaxis(t, 0, l - 1).reshape(-1)
 
 
 @functools.lru_cache(maxsize=MAX_QUBITS)
@@ -232,6 +225,7 @@ def _pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     l = 0/1 (slot 1 is the top bit): sigma_x phi = phi[flip], sigma_y phi =
     -i s phi[flip], sigma_z phi = s phi.  Both arrays are read-only.
     """
+    check_qubit_count(num_qubits, 1, "the Pauli images")
     index = np.arange(2**num_qubits)
     bit = (1 << (num_qubits - 1 - np.arange(num_qubits)))[:, None]
     flip, sign = index ^ bit, np.where(index & bit, -1.0, 1.0)
@@ -242,14 +236,20 @@ def _pauli_tables(num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
     return gather, factor
 
 
-def pauli_images(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """(..., 3L, 2^L) array whose row 3(l-1)+k is sigma_k applied at slot l, k = x, y, z.
+def pauli_images(amps: np.ndarray, num_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one Pauli action: (images, z) for sigma_k at every slot l, k = x, y, z.
 
-    ``amps`` is one amplitude vector or a stack (..., 2^L) of them; each
-    image is one gather and one multiply by a cached table.
+    ``amps`` is one amplitude vector phi or a stack (..., 2^L) of them.  Row
+    3(l-1)+k of images, shape (..., 3L, 2^L), is sigma_k at slot l applied to
+    phi and projected off the complex line through phi; z, shape (..., 3L),
+    holds <phi|sigma_k at l|phi>, whose real part is the Bloch vector r_lk.
+    Each image is one gather and one multiply by a cached table.
     """
     gather, factor = _pauli_tables(num_qubits)
-    return amps[..., gather] * factor
+    images = amps[..., gather] * factor
+    z = (images @ amps.conj()[..., None])[..., 0]
+    images -= z[..., None] * amps[..., None, :]
+    return images, z
 
 
 def apply_local_unitary(state: PureState, g: Sequence[np.ndarray]) -> PureState:
@@ -273,11 +273,6 @@ def haar_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     return PureState(num_qubits, z / np.linalg.norm(z))
 
 
-def random_state(num_qubits: int, seed: int) -> PureState:
-    """Seeded Haar-random pure state (normalized complex Gaussian vector)."""
-    return haar_state(num_qubits, np.random.default_rng(check_int(seed, "seed", 0)))
-
-
 def random_su2(rng: np.random.Generator) -> np.ndarray:
     """Haar-random SU(2) element via a uniform point on the unit 3-sphere."""
     q = rng.normal(size=4)
@@ -294,10 +289,6 @@ def random_local_unitaries(num_qubits: int, rng: np.random.Generator) -> list[np
 # --- state files -----------------------------------------------------------
 #
 # {"L": 3, "amplitudes": [[re, im], ...]} with exactly 2**L entries.
-
-
-def loads_state(text: str) -> PureState:
-    return state_from_document(read_json(text, "state file"))
 
 
 def state_from_document(doc) -> PureState:

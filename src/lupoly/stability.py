@@ -1,10 +1,11 @@
-"""The local generator table, orbit and isotropy dimensions via
-numerical rank, and the explicitly stable zero-momentum states.
+"""Orbit and isotropy dimensions via numerical rank, and the explicitly
+stable zero-momentum states.
 
-Every generator acts on a single tensor slot, so one table of six 2x2
-factors is applied at each slot by ``apply_slot_operator``; the full
-2^L x 2^L matrices are never formed.  ``verify_stable`` builds the actions
-once, for its orbit report and its k1 rank alike.
+Both orbit ranks read the projected images of ``qstate.pauli_images``, the
+package's one Pauli action.  The compact generators i*sigma_k act by i times
+those images, which keeps the singular values, and the complexified ones
+E12, E21, H are fixed combinations of them (``LADDER``).  ``verify_stable``
+takes its orbit report and its k1 rank from one call of the kernel.
 """
 
 from __future__ import annotations
@@ -16,17 +17,11 @@ import numpy as np
 
 from .errors import ValidationError
 from .polytope import check_qubit_count, check_qubit_index, check_real
-from .qstate import PureState, apply_slot_operator, momentum_map
+from .qstate import PureState, momentum_map, pauli_images
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
-PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
-E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
-E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
-# Per slot: i*sigma_{x,y,z} span the compact algebra, E12, E21, H the complexified one.
-GENERATORS = np.stack([1j * SIGMA_X, 1j * SIGMA_Y, 1j * SIGMA_Z, E12, E21, SIGMA_Z])
-GENERATORS.flags.writeable = False
+# E12 = (sigma_x + i sigma_y)/2, E21 = (sigma_x - i sigma_y)/2 and H = sigma_z.
+LADDER = np.array([[0.5, 0.5j, 0.0], [0.5, -0.5j, 0.0], [0.0, 0.0, 1.0]])
+LADDER.flags.writeable = False
 
 # Every numerical rank counts the singular values above RANK_TOL times the largest.
 RANK_TOL = 1e-8
@@ -57,15 +52,6 @@ class OrbitReport:
         }
 
 
-def _generator_actions(amps: np.ndarray, num_qubits: int) -> np.ndarray:
-    """(B..., L, 6, 2^L) for amplitudes (B..., 2^L): entry [..., l-1, k] is GENERATORS[k]
-    at slot l applied to the state, projected off the complex line through the state."""
-    check_qubit_count(num_qubits, 1, "the orbit ranks")
-    w = np.stack([apply_slot_operator(amps, GENERATORS, num_qubits, l)
-                  for l in range(1, num_qubits + 1)], axis=-3)
-    return w - (w @ amps.conj()[..., None, :, None]) * amps[..., None, None, :]
-
-
 def _real_columns(rows: np.ndarray) -> np.ndarray:
     """Real columns [Re; Im] of rows (..., m, 2^L): shape (..., 2^{L+1}, m), column i from row i."""
     return np.concatenate([rows.real, rows.imag], axis=-1).swapaxes(-1, -2)
@@ -94,18 +80,19 @@ def orbit_dimensions(state: PureState) -> OrbitReport:
     isotropy algebra.  Ranks are singular-value counts above
     RANK_TOL times the top singular value.
     """
-    return _orbit_report(_generator_actions(state.amplitudes, state.num_qubits))
+    return _orbit_report(pauli_images(state.amplitudes, state.num_qubits)[0])
 
 
-def _orbit_report(actions: np.ndarray) -> OrbitReport:
-    """The orbit report of one state's (L, 6, 2^L) generator actions."""
-    L, _, dim = actions.shape
-    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(actions[:, :3].reshape(-1, dim)))
-    g_rank, g_svals, g_shaky = _rank_and_svals(actions[:, 3:].reshape(-1, dim).T)
+def _orbit_report(images: np.ndarray) -> OrbitReport:
+    """The orbit report of one state's (3L, 2^L) projected Pauli images."""
+    rows, dim = images.shape
+    k_rank, k_svals, k_shaky = _rank_and_svals(_real_columns(images))
+    ladder = (LADDER @ images.reshape(-1, 3, dim)).reshape(rows, dim)
+    g_rank, g_svals, g_shaky = _rank_and_svals(ladder.T)
     return OrbitReport(
         dim_K_orbit=k_rank,
         dim_G_orbit_complex=g_rank,
-        dim_isotropy_algebra=3 * L - k_rank,
+        dim_isotropy_algebra=rows - k_rank,
         compact_singular_values=tuple(float(s) for s in k_svals),
         complex_singular_values=tuple(float(s) for s in g_svals),
         rank_tol=RANK_TOL,
@@ -193,11 +180,11 @@ def verify_stable(state: PureState, k1: int | None = None) -> StabilityReport:
     dev = float(np.abs(momentum_map(state)[:k1]).max())
     reductions_ok = dev <= REDUCTION_TOL
 
-    actions = _generator_actions(state.amplitudes, L)
-    orbit = _orbit_report(actions)
+    images = pauli_images(state.amplitudes, L)[0]
+    orbit = _orbit_report(images)
     k1_rank = orbit.dim_K_orbit
     if k1 < L:
-        k1_rank, _, _ = _rank_and_svals(_real_columns(actions[:k1, :3].reshape(-1, state.dim)))
+        k1_rank, _, _ = _rank_and_svals(_real_columns(images[:3 * k1]))
     return StabilityReport(
         stable=bool(reductions_ok and k1_rank == 3 * k1),
         k1=k1,

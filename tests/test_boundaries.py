@@ -28,7 +28,6 @@ from lupoly import (
     numeric_dim,
     random_interior_point,
     random_local_unitaries,
-    random_state,
     random_wall_point,
     reduce_one_qubit,
     sample_fiber,
@@ -44,8 +43,8 @@ from lupoly.polytope import check_int, check_real
 
 POINT = SpectraPoint((0.1, 0.2, 0.15))
 WALL = SpectraPoint.exact(["1/6", "1/3", "1/3"])
-STATE = random_state(3, 1)
 RNG = np.random.default_rng
+STATE = haar_state(3, RNG(1))
 CRITERION = criteria.CRITERIA[3]  # the wall spectrum: exact and fast
 
 # name -> call with the probed value in place of one argument
@@ -55,8 +54,6 @@ INTEGERS = {
     "PureState.basis.index": lambda v: PureState.basis(2, v),
     "reduce_one_qubit.l": lambda v: reduce_one_qubit(STATE, v),
     "haar_state.num_qubits": lambda v: haar_state(v, RNG(0)),
-    "random_state.num_qubits": lambda v: random_state(v, 0),
-    "random_state.seed": lambda v: random_state(2, v),
     "random_local_unitaries.num_qubits": lambda v: random_local_unitaries(v, RNG(0)),
     "vertices.num_qubits": vertices,
     "vertices_oracle.num_qubits": vertices_oracle,
@@ -136,7 +133,11 @@ REPORTED = {
                         "samples must be an integer >= 1, got 2.5"),
     "oracle-float-count": (lambda: vertices_oracle(4.0),
                            "vertices_oracle: the qubit count must be an integer in 2..6, got 4.0"),
-    "state-negative-seed": (lambda: random_state(3, -1), "seed must be an integer >= 0, got -1"),
+    # from 1/4 on, a coordinate could count both as 0 and as 1/2
+    "classify-quarter-tol": (lambda: classify(POINT, tol=0.25),
+                             "slack tolerance must be a finite number in [0, 1/4), got 0.25"),
+    "dim-half-tol": (lambda: dim_for_point(POINT, tol=0.5),
+                     "slack tolerance must be a finite number in [0, 1/4), got 0.5"),
     "membership-bool-tol": (lambda: membership(POINT, tol=True),
                             "slack tolerance must be a finite number in [0, inf), got True"),
     "selftest-samples-past-criterion-5": (lambda: criteria.selftest(600, 0),
@@ -173,6 +174,6 @@ def test_numpy_scalars_pass_as_plain_values():
     assert verify_stable(stable_state(np.int64(5)), k1=np.int64(3))
     assert criteria.run(CRITERION, np.int64(1), np.int64(0))["passed"]
     assert PureState.basis(np.int64(2), np.int64(3)).amplitudes[3] == 1.0
-    assert random_state(np.int64(2), np.int64(0)).num_qubits == 2
+    assert haar_state(np.int64(2), RNG(0)).num_qubits == 2
     assert len(vertices_oracle(np.int64(3)).vertices) == len(vertices(np.int64(3)).vertices) == 5
     assert len(facets(np.int64(4))) == 12

@@ -250,6 +250,16 @@ class TestExitCodes:
         error = json.loads(proc.stderr)["error"]
         assert error["type"] == "ValidationError" and "unnormalized state" in error["message"]
 
+    def test_unnormalized_state_file_message(self, capsys, monkeypatch):
+        # a file user cannot pass renormalize=True: the message names the norm bound alone
+        stdin = '{"L": 1, "amplitudes": [[1, 0], [1, 0]]}'
+        code, doc, err = run(capsys, "psi", "--state", "-", stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 1 and doc is None
+        message = json.loads(err)["error"]["message"]
+        assert message == ("unnormalized state: the norm must be 1 within NORM_TOL = 1e-09, "
+                           "got a deviation of 4.142e-01")
+        assert "renormalize" not in message
+
     def test_huge_alpha_gives_a_stable_document(self, capsys):
         code, doc, _ = run(capsys, "stable", "-L", "4", "--alpha", "1e200")
         assert code in (0, 2)
@@ -339,8 +349,13 @@ class TestToleranceFlags:
           "slack tolerance must be a finite number in [0, inf), got -1e-09"),
          # argparse refuses a token that is no float: the message names flag and token
          (("classify", "--lambda", "0.1,0.2,0.15", "--tol", "x"),
-          "argument --tol: invalid float value: 'x'")),
-        ids=("negative-slack", "not-a-number"),
+          "argument --tol: invalid float value: 'x'"),
+         # from 1/4 on, a coordinate could count both as 0 and as 1/2
+         (("dim", "--lambda", "0.1,0.2,0.15", "--tol", "0.5"),
+          "slack tolerance must be a finite number in [0, 1/4), got 0.5"),
+         (("classify", "--lambda", "0.1,0.2,0.15", "--tol", "0.25"),
+          "slack tolerance must be a finite number in [0, 1/4), got 0.25")),
+        ids=("negative-slack", "not-a-number", "half-slack", "quarter-slack"),
     )
     def test_out_of_range_values_rejected(self, capsys, argv, message):
         assert self.refused(capsys, *argv).endswith(message)

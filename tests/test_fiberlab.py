@@ -29,7 +29,8 @@ from lupoly import (
 )
 from lupoly import fiberlab, stability
 from lupoly.qstate import MAX_QUBITS, apply_slot_operator, pauli_images
-from lupoly.stability import PAULIS, _generator_actions, _rank_and_svals, _real_columns
+from lupoly.stability import _rank_and_svals
+from test_stability import PAULIS, reference_columns
 
 INTERIOR3 = SpectraPoint((0.1, 0.2, 0.15))
 WALL_SLACKS = (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8, 2e-9)
@@ -148,12 +149,16 @@ class TestPauliImageKernel:
     @pytest.mark.parametrize("L", range(1, 11))
     def test_rows_match_slot_operator(self, L):
         amps = haar_state(L, np.random.default_rng(L)).amplitudes
-        images = pauli_images(amps, L)
-        assert images.shape == (3 * L, 2**L)
+        images, z = pauli_images(amps, L)
+        assert images.shape == (3 * L, 2**L) and z.shape == (3 * L,)
         for l in range(1, L + 1):
             for k, sigma in enumerate(PAULIS):
-                expected = apply_slot_operator(amps, sigma, L, l)
-                assert np.allclose(images[3 * (l - 1) + k], expected, rtol=0, atol=1e-15)
+                image = apply_slot_operator(amps, sigma, L, l)
+                want_z = np.vdot(amps, image)
+                row = 3 * (l - 1) + k
+                assert abs(z[row] - want_z) <= 1e-15
+                expected = image - want_z * amps
+                assert np.allclose(images[row], expected, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("case", list(objective_cases()), ids=lambda c: c[0])
     def test_objective_matches_reference(self, case):
@@ -269,11 +274,12 @@ class TestStackedKernel:
                   ghz_state(L)]
         if L >= 4:
             states.append(stable_state(L))
-        amps = np.stack([s.amplitudes for s in states])
-        compact = _generator_actions(amps, L)[..., :3, :].reshape(len(states), 3 * L, 2**L)
-        dmu, half = fiberlab._dmu_matrices(amps, L), 2**L
-        j_dmu = np.concatenate([-dmu[:, half:], dmu[:, :half]], axis=1)
-        assert np.abs(_real_columns(compact) - j_dmu / 2.0).max() <= 1e-14
+        half = 2**L
+        for state in states:
+            compact, _ = reference_columns(state)
+            dmu = momentum_differential_matrix(state)
+            j_dmu = np.concatenate([-dmu[half:], dmu[:half]])
+            assert np.abs(compact - j_dmu / 2.0).max() <= 1e-14
 
 
 class TestSampleFiber:

@@ -1,7 +1,6 @@
 """State container, partial traces, spectra, and the state-file format."""
 
 import io
-import json
 import math
 
 import numpy as np
@@ -18,12 +17,10 @@ from lupoly import (
     dump_state,
     haar_state,
     load_state,
-    loads_state,
     momentum_map,
     psi_map,
     purity_invariants,
     random_local_unitaries,
-    random_state,
     reduce_one_qubit,
     state_document,
     state_from_document,
@@ -183,10 +180,11 @@ class TestValidation:
 
     def test_strided_amplitudes_build_the_contiguous_state(self):
         a = np.zeros(16, dtype=np.complex128)
-        a[::2] = random_state(3, 5).amplitudes
+        state = haar_state(3, np.random.default_rng(5))
+        a[::2] = state.amplitudes
         strided = PureState(3, a[::2])
         assert strided.amplitudes.tobytes() == PureState(3, a[::2].copy()).amplitudes.tobytes()
-        assert psi_map(strided) == psi_map(random_state(3, 5))
+        assert psi_map(strided) == psi_map(state)
 
     def test_rejects_oversized_register(self):
         with pytest.raises(ValidationError):
@@ -244,7 +242,7 @@ class TestStateFiles:
         assert np.allclose(again.amplitudes, state.amplitudes, atol=1e-15)
 
     def test_round_trip_through_stream(self):
-        state = random_state(2, seed=7)
+        state = haar_state(2, np.random.default_rng(7))
         buf = io.StringIO()
         dump_state(state, buf)
         again = load_state(io.StringIO(buf.getvalue()))
@@ -257,21 +255,21 @@ class TestStateFiles:
 
     def test_rejects_bad_json(self):
         with pytest.raises(ValidationError, match="not valid JSON"):
-            loads_state("{nope")
+            load_state(io.StringIO("{nope"))
 
     def test_rejects_missing_keys(self):
         with pytest.raises(ValidationError):
-            loads_state(json.dumps({"L": 2}))
+            state_from_document({"L": 2})
 
     def test_rejects_length_mismatch(self):
         doc = {"L": 2, "amplitudes": [[1.0, 0.0]] * 3}
         with pytest.raises(ValidationError, match="expected 2"):
-            loads_state(json.dumps(doc))
+            state_from_document(doc)
 
     def test_rejects_malformed_entry(self):
         doc = {"L": 1, "amplitudes": [[1.0, 0.0], [0.0]]}
         with pytest.raises(ValidationError, match="pair"):
-            loads_state(json.dumps(doc))
+            state_from_document(doc)
 
     @pytest.mark.parametrize(
         "doc",
@@ -289,6 +287,6 @@ class TestStateFiles:
             state_from_document(doc)
 
     def test_seeded_states_reproducible(self):
-        a = random_state(4, seed=5)
-        b = random_state(4, seed=5)
+        a = haar_state(4, np.random.default_rng(5))
+        b = haar_state(4, np.random.default_rng(5))
         assert np.array_equal(a.amplitudes, b.amplitudes)

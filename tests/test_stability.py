@@ -1,4 +1,4 @@
-"""The generator table, orbit/isotropy ranks, and the stable zero-momentum families."""
+"""Orbit/isotropy ranks from the Pauli-image kernel, and the stable zero-momentum families."""
 
 import json
 
@@ -16,17 +16,16 @@ from lupoly import (
     verify_stable,
 )
 from lupoly import stability
-from lupoly.qstate import MAX_QUBITS, apply_slot_operator
-from lupoly.stability import (
-    E12,
-    E21,
-    GENERATORS,
-    PAULIS,
-    SIGMA_Z,
-    _generator_actions,
-    _rank_and_svals,
-    _real_columns,
-)
+from lupoly.qstate import MAX_QUBITS, apply_slot_operator, pauli_images
+from lupoly.stability import _rank_and_svals
+
+# Test-local generator matrices, applied through the tensordot path as a reference.
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
+SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
+SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
+PAULIS = (SIGMA_X, SIGMA_Y, SIGMA_Z)
+E12 = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)
+E21 = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)
 
 GHZ3 = PureState.from_amplitudes([np.sqrt(0.5), 0, 0, 0, 0, 0, 0, np.sqrt(0.5)])
 GHZ4 = PureState.from_amplitudes(
@@ -59,54 +58,16 @@ def reference_states():
 
 
 class TestGenerators:
-    def test_counts_and_slots(self):
-        assert GENERATORS.shape == (6, 2, 2) and not GENERATORS.flags.writeable
-        actions = _generator_actions(haar_state(4, np.random.default_rng(3)).amplitudes, 4)
-        assert actions.shape == (4, 6, 16)
-        cols = _real_columns(actions[:, :3].reshape(12, 16))
-        assert cols.shape == (32, 12)
-        # column 3(l-1)+k holds the i*sigma_k action at slot l
-        for l in range(1, 5):
-            for k in range(3):
-                want = np.concatenate([actions[l - 1, k].real, actions[l - 1, k].imag])
-                assert np.array_equal(cols[:, 3 * (l - 1) + k], want)
-
-    def test_compact_factors_orthonormal(self):
-        compact, complexified = GENERATORS[:3], GENERATORS[3:]
-        for i, a in enumerate(compact):
-            for j, b in enumerate(compact):
-                # invariant pairing <A|B> = -1/2 tr(AB)
-                want = 1.0 if i == j else 0.0
-                assert (-0.5 * np.trace(a @ b)).real == pytest.approx(want)
-        assert np.array_equal(complexified, [E12, E21, SIGMA_Z])
-
     def test_z_generator_fixes_zero_ket(self):
-        zero = PureState.basis(3, 0)
-        for l in range(1, 4):
-            moved = apply_slot_operator(zero.amplitudes, GENERATORS[2], 3, l)
-            assert np.allclose(moved, 1j * zero.amplitudes)
         # a pure phase projects to zero, so i*sigma_z lands in the isotropy algebra
-        assert np.abs(_generator_actions(zero.amplitudes, 3)[:, 2]).max() == 0.0
+        images, z = pauli_images(PureState.basis(3, 0).amplitudes, 3)
+        assert np.abs(images[2::3]).max() == 0.0
+        assert np.array_equal(z[2::3], np.ones(3))
 
     def test_qubit_count_bounds(self):
         amps = np.full(2 ** (MAX_QUBITS + 1), 2 ** (-(MAX_QUBITS + 1) / 2), dtype=np.complex128)
         with pytest.raises(ValidationError, match=f"1..{MAX_QUBITS}, got {MAX_QUBITS + 1}"):
             orbit_dimensions(PureState(MAX_QUBITS + 1, amps))
-
-    @pytest.mark.parametrize("num_qubits", range(1, 9))
-    def test_stacked_application_matches_per_factor(self, num_qubits):
-        rng = np.random.default_rng(60 + num_qubits)
-        amps = haar_state(num_qubits, rng).amplitudes
-        stack = rng.normal(size=(2, 3, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2))
-        for l in range(1, num_qubits + 1):
-            got = apply_slot_operator(amps, stack, num_qubits, l)
-            assert got.shape == (2, 3, 2**num_qubits)
-            for index in np.ndindex(2, 3):
-                want = apply_slot_operator(amps, stack[index], num_qubits, l)
-                assert np.array_equal(got[index], want)
-            table = apply_slot_operator(amps, GENERATORS, num_qubits, l)
-            for k, factor in enumerate(GENERATORS):
-                assert np.array_equal(table[k], apply_slot_operator(amps, factor, num_qubits, l))
 
     def test_ranks_match_the_per_generator_reference(self):
         for state in reference_states():
@@ -252,14 +213,14 @@ class TestVerifyStable:
         assert json.loads(json.dumps(report.document())) == verify_stable(GHZ4).document()
 
     @pytest.mark.parametrize("k1", (1, 2, 4))
-    def test_generator_actions_built_once(self, k1, monkeypatch):
-        calls, generator_actions = [], stability._generator_actions
+    def test_pauli_images_computed_once(self, k1, monkeypatch):
+        calls = []
 
         def counted(amps, num_qubits):
             calls.append(num_qubits)
-            return generator_actions(amps, num_qubits)
+            return pauli_images(amps, num_qubits)
 
-        monkeypatch.setattr(stability, "_generator_actions", counted)
+        monkeypatch.setattr(stability, "pauli_images", counted)
         verify_stable(stable_state(4), k1=k1)
         assert calls == [4]
 
