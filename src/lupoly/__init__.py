@@ -50,7 +50,6 @@ from .wall import (
 
 # Public name -> the numpy module that defines it, imported on first access.
 _LAZY = {
-    "DensityMatrix2": "qstate",
     "PureState": "qstate",
     "apply_local_unitary": "qstate",
     "dump_state": "qstate",
@@ -97,7 +96,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConvergenceError",
-    "DensityMatrix2",
     "DimReport",
     "DmuReport",
     "Facet",

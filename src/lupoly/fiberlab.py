@@ -14,11 +14,13 @@ two can be compared honestly:
   common value only when every sample agrees and looks regular.
 
 The descent works on a stack of states, shape (n, 2^L): ``numeric_dim``
-descends its n samples together, each row with its own damping, stop
-test and restarts, and ``sample_fiber`` is the one-row case.  The
-residual Jacobian and the dmu matrix both read ``qstate.pauli_images``.
-Each sample is re-verified once through ``psi_map`` (a partial trace, not
-the Pauli images), and the dmu ranks of a stack come from one SVD call;
+descends its n samples together, each row with its own damping and stop
+test, and ``sample_fiber`` is the one-row case.  A row whose attempt ends
+above FIBER_TOL restarts from a fresh Haar start after the stack, together
+with the other such rows.  The residual Jacobian and the dmu matrix both
+read ``qstate.pauli_images``.  Each sample is checked once, through
+``psi_map`` (a partial trace, not the Pauli images), against the target and
+the admissible region; the dmu ranks of a stack come from one SVD call, and
 the compact orbit columns are J dmu / 2, so no orbit SVD is taken.
 MAX_ITERS and MAX_RESTARTS bound every descent, every sample reaches the
 residual FIBER_TOL, and every rank cuts at ``stability.RANK_TOL``; no entry
@@ -27,7 +29,6 @@ point takes any of them.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -57,70 +58,62 @@ STACK_ENTRIES = 2**18
 MAX_SAMPLES = 512
 
 
-@functools.lru_cache(maxsize=256)
-def _residual_order(L: int, zero_mask: bytes) -> np.ndarray:
-    """Where the residuals sit among [lambda_l - t_l for every l] + [r_lk / 2 for every l, k].
+def _keep(zero_mask: np.ndarray) -> np.ndarray:
+    """Which of [lambda_l - t_l for every l] + [r_lk / 2 for every l, k] are residuals.
 
-    The nonzero-target qubits come first, then the three components of each
-    zero_mask qubit; read-only, cached per L and mask.
+    Those of the nonzero-target qubits come first, then the three components
+    of each zero_mask qubit, each in qubit order.
     """
-    mask = np.frombuffer(zero_mask, dtype=bool)
-    order = np.concatenate([np.flatnonzero(~mask), L + np.flatnonzero(np.repeat(mask, 3))])
-    order.flags.writeable = False
-    return order
+    mask = np.asarray(zero_mask, dtype=bool)
+    return np.flatnonzero(np.concatenate([~mask, np.repeat(mask, 3)]))
 
 
-def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray):
+def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray):
     """Residuals e of the spectra map and their tangent Jacobian rows g, per state.
 
     ``amps`` is one amplitude vector or a stack (..., 2^L); e has shape
-    (..., m) and g (..., m, 2^L).  With S the projected Pauli images of phi
-    and z = <phi|sigma|phi> from ``pauli_images``, the Bloch vectors are
-    r = Re z and lambda = |r|/2.  A qubit with a
+    (..., m) and g (..., m, 2^L) for the m residuals ``keep`` selects.  With
+    S the projected Pauli images of phi and z = <phi|sigma|phi> from
+    ``pauli_images``, the Bloch vectors are r = Re z and lambda = |r|/2.  A
     nonzero target gives e_l = lambda_l - t_l with row g_l = rhat_l . S_l
-    (rhat = z where r = 0); a zero_mask qubit gives the three components
+    (rhat = z where r = 0); a zero target gives the three components
     r_l/2 with rows S_l, which are smooth through the spectral degeneracy.
     Rows lie off phi, so a tangent step delta changes e_i by Re<g_i, delta>
     to first order; f = e.e is the objective.
     """
     batch = amps.shape[:-1]
-    order = _residual_order(L, np.asarray(zero_mask, dtype=bool).tobytes())
     images, z = pauli_images(amps, L)
     r = z.real.reshape(batch + (L, 3))
     norm = np.sqrt(np.einsum("...ij,...ij->...i", r, r))
     unit = r / np.where(norm > 0.0, norm, 1.0)[..., None]
     unit[..., 2] += norm == 0.0
     along = (unit[..., None, :] @ images.reshape(batch + (L, 3, -1)))[..., 0, :]
-    e = np.concatenate([norm / 2.0 - target, z.real / 2.0], axis=-1)[..., order]
-    rows = np.concatenate([along, images], axis=-2)[..., order, :]
+    e = np.concatenate([norm / 2.0 - target, z.real / 2.0], axis=-1)[..., keep]
+    rows = np.concatenate([along, images], axis=-2)[..., keep, :]
     return e, rows
 
 
-def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray,
-             tol: float, max_iters: int, max_restarts: int = 0, rngs=None):
+def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray, max_iters: int):
     """Damped Gauss-Newton (Levenberg-Marquardt) on the spectra residuals of a stack of states.
 
     ``amps`` (n, 2^L) holds one start per row.  A step solves
     (A + mu scale I) c = -e with A = Re(g conj(g)^T), moves along
     delta = c . g and retracts onto the unit sphere.  It is kept when
     f = e.e falls (then mu shrinks) and rejected otherwise (mu grows).
-    Each row has its own mu, accept test and stop test: its attempt ends
-    when f <= tol^2, when it is stationary away from the fiber or no step
-    lowers f, or after max_iters steps.  A row whose attempt ends above
-    tol draws a fresh Haar start from ``rngs[i]`` and rejoins the stack, up
-    to max_restarts times; a row that is done leaves the stack.
+    Each row has its own mu, accept test and stop test, and leaves the
+    stack when it stops: when f <= FIBER_TOL^2, when it is stationary away
+    from the fiber or no step lowers f, or after max_iters steps.  This is
+    one attempt; restarts are the caller's.
 
-    Returns per row the amplitudes of its lowest attempt end (the converged
-    one, if any), their objective, the steps tried over all attempts,
-    accepted or not, and the restarts used.
+    Returns per row its end amplitudes, their objective, and the steps it
+    tried, accepted or not.
     """
     amps = np.array(amps, dtype=np.complex128)
-    n, tol2 = len(amps), tol * tol
-    best, best_f = amps.copy(), [math.inf] * n
-    iterations, restarts = [0] * n, [0] * n
-    # per row of the stack: its input row, damping and steps in this attempt
-    live, mu, it = list(range(n)), [1e-3] * n, [0] * n
-    e, g = _residuals_and_jacobian(amps, L, target, zero_mask)
+    n, tol2 = len(amps), FIBER_TOL * FIBER_TOL
+    end, end_f, end_steps = amps.copy(), [math.inf] * n, [0] * n
+    # per row of the stack: its input row and damping; every live row has taken `steps`
+    live, mu, steps = list(range(n)), [1e-3] * n, 0
+    e, g = _residuals_and_jacobian(amps, L, target, keep)
     f = np.einsum("ij,ij->i", e, e)
     eye = np.eye(e.shape[1])
     while live:
@@ -128,34 +121,21 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray
         a = gv @ gv.swapaxes(1, 2)
         fs, slopes = f.tolist(), np.einsum("ki,kij,kj->k", e, a, e).tolist()
         # converged, stationary away from the fiber, no step lowers f, or out of steps
-        stop = [fj <= tol2 or sj < 1e-32 or mj > 1e12 or tj == max_iters
-                for fj, sj, mj, tj in zip(fs, slopes, mu, it)]
+        stop = [fj <= tol2 or sj < 1e-32 or mj > 1e12 or steps == max_iters
+                for fj, sj, mj in zip(fs, slopes, mu)]
         if any(stop):
-            keep, redo = [], []
             for j, i in enumerate(live):
                 if stop[j]:
-                    iterations[i] += it[j]
-                    if fs[j] < best_f[i]:
-                        best[i], best_f[i] = amps[j], fs[j]
-                    if fs[j] <= tol2 or restarts[i] == max_restarts:
-                        continue
-                    restarts[i] += 1
-                    redo.append(j)
-                keep.append(j)
-            if redo:
-                amps[redo] = [haar_state(L, rngs[live[j]]).amplitudes for j in redo]
-                e[redo], g[redo] = _residuals_and_jacobian(amps[redo], L, target, zero_mask)
-                f[redo] = np.einsum("ij,ij->i", e[redo], e[redo])
-                for j in redo:
-                    mu[j], it[j] = 1e-3, 0
-            live, mu, it = [live[j] for j in keep], [mu[j] for j in keep], [it[j] for j in keep]
-            amps, e, g, f = amps[keep], e[keep], g[keep], f[keep]
+                    end[i], end_f[i], end_steps[i] = amps[j], fs[j], steps
+            go = [j for j, sj in enumerate(stop) if not sj]
+            live, mu = [live[j] for j in go], [mu[j] for j in go]
+            amps, e, g, f = amps[go], e[go], g[go], f[go]
             continue  # the rows that go on take their step in the next pass
         scale = np.trace(a, axis1=1, axis2=2) / eye.shape[0]
         c = np.linalg.solve(a + (np.array(mu) * scale)[:, None, None] * eye, -e[..., None])
         cand = amps + (c.swapaxes(1, 2) @ gv)[:, 0].view(np.complex128)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-        e_cand, g_cand = _residuals_and_jacobian(cand, L, target, zero_mask)
+        e_cand, g_cand = _residuals_and_jacobian(cand, L, target, keep)
         f_cand = np.einsum("ij,ij->i", e_cand, e_cand)
         down = (f_cand < f).tolist()
         if all(down):
@@ -165,8 +145,8 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, zero_mask: np.ndarray
             amps[took], e[took] = cand[took], e_cand[took]
             g[took], f[took] = g_cand[took], f_cand[took]
         mu = [max(mj / 10.0, 1e-12) if d else mj * 10.0 for mj, d in zip(mu, down)]
-        it = [tj + 1 for tj in it]
-    return best, best_f, iterations, restarts
+        steps += 1
+    return end, end_f, end_steps
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +208,11 @@ def sample_fiber(target: SpectraPoint, seed: int = 0) -> FiberSample:
     seed:
         Seeds both the Haar starting points and any random phases.
 
-    An attempt tries at most MAX_ITERS steps, accepted or not, and at most
-    MAX_RESTARTS fresh Haar starts follow; ``iterations`` counts all steps.
+    An attempt tries at most MAX_ITERS steps, accepted or not.  An attempt
+    that ends above FIBER_TOL is followed by one from a fresh Haar start, at
+    most MAX_RESTARTS times; ``iterations`` counts the steps of all attempts.
+    The sample's ``psi_map`` point is checked against the target and the
+    admissible region.
 
     Raises
     ------
@@ -237,48 +220,69 @@ def sample_fiber(target: SpectraPoint, seed: int = 0) -> FiberSample:
         If the seed is not an integer >= 0, or the target lies outside the
         admissible region.
     ConvergenceError
-        If no attempt reaches FIBER_TOL; never returns a near-miss.
+        If no attempt reaches FIBER_TOL, or the sample fails its check;
+        never returns a near-miss.
     """
     seed = check_int(seed, "seed", 0)
     stratum = classify(target)  # refuses a target outside the admissible region
-    return _fiber_samples(target, stratum, [seed])[0][0]
+    return _fiber_samples(target, stratum, [seed])[0]
 
 
 def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[int]) -> list:
-    """One fiber sample per seed, all descended as one stack.
+    """One checked fiber sample per seed, in seed order, all descended as one stack.
 
-    ``default_rng(seed)`` draws that row's exact or Haar start and its
-    restarts, so a row's sample does not depend on the other rows.  Each
-    sample is re-verified once through ``psi_map``; returns (sample, its
-    psi_map point) pairs in seed order.
+    ``default_rng(seed)`` draws that row's exact or Haar start and then the
+    Haar start of each restart, so a row's sample does not depend on the
+    other rows.  After each attempt the rows still above FIBER_TOL restart
+    together; each row keeps its lowest attempt end.  Each sample's
+    ``psi_map`` point must lie within FIBER_TOL of the target and inside the
+    admissible region, or ConvergenceError names the test that failed.
     """
     L = target.num_qubits
     t_arr = target.as_array()
-    zero_mask = np.array([l in stratum.zero_qubits for l in range(1, L + 1)])
+    keep = _keep([l in stratum.zero_qubits for l in range(1, L + 1)])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     starts = [_exact_start(stratum, target, rng) for rng in rngs]
     amps = np.array([haar_state(L, rng).amplitudes if start is None else start[0]
                      for start, rng in zip(starts, rngs)])
-    amps, f, iterations, restarts = _descend(
-        amps, L, t_arr, zero_mask, FIBER_TOL, MAX_ITERS, MAX_RESTARTS, rngs)
+    n, tol2 = len(seeds), FIBER_TOL * FIBER_TOL
+    f, iterations, restarts = [math.inf] * n, [0] * n, [0] * n
+    rows, tries = list(range(n)), amps
+    for attempt in range(MAX_RESTARTS + 1):
+        if attempt:
+            tries = np.array([haar_state(L, rngs[i]).amplitudes for i in rows])
+        ends, end_f, steps = _descend(tries, L, t_arr, keep, MAX_ITERS)
+        for i, end, fj, sj in zip(rows, ends, end_f, steps):
+            iterations[i] += sj
+            restarts[i] = attempt
+            if fj < f[i]:
+                amps[i], f[i] = end, fj
+        rows = [i for i in rows if f[i] > tol2]
+        if not rows:
+            break
     out = []
     for i, seed in enumerate(seeds):
         state = PureState(L, amps[i])
         achieved = psi_map(state)
         residual = float(np.linalg.norm(achieved.as_array() - t_arr))
-        if f[i] > FIBER_TOL * FIBER_TOL:
+        if f[i] > tol2:
             raise ConvergenceError(
                 f"fiber sampling did not reach residual {FIBER_TOL:g} after {MAX_RESTARTS} "
                 f"restarts (best residual {residual:.3e})"
             )
         if residual > FIBER_TOL:
             raise ConvergenceError(
-                f"fiber sample failed re-verification (spectra distance {residual:.3e})"
+                f"fiber sample failed re-verification: its psi_map point lies {residual:.3e} "
+                f"from the target, above FIBER_TOL = {FIBER_TOL:g}"
+            )
+        if not membership(achieved).member:
+            raise ConvergenceError(
+                "fiber sample failed re-verification: its psi_map point lies outside the "
+                "admissible region"
             )
         exact = starts[i] is not None and iterations[i] == 0 and restarts[i] == 0
         method = starts[i][1] if exact else "descent"
-        sample = FiberSample(state, target, residual, iterations[i], restarts[i], seed, method)
-        out.append((sample, achieved))
+        out.append(FiberSample(state, target, residual, iterations[i], restarts[i], seed, method))
     return out
 
 
@@ -380,35 +384,6 @@ class NumericDimEstimate:
         }
 
 
-def _audits(target: SpectraPoint, stratum: StratumClass, seeds: list, dim_k_alpha: int,
-            dim_proj: int) -> list:
-    """Audits of the seeds' samples, drawn as one stack; one SVD call ranks them all."""
-    L = target.num_qubits
-    pairs = _fiber_samples(target, stratum, seeds)
-    for sample, achieved in pairs:
-        if not membership(achieved).member:
-            raise ConvergenceError(
-                f"fiber sample failed re-verification (spectra distance {sample.residual:.3e})"
-            )
-    amps = np.stack([sample.state.amplitudes for sample, _ in pairs])
-    ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L))
-    audits = []
-    for (sample, _), rank, sv, ill in zip(pairs, ranks, svals, shaky):
-        iso = 3 * L - rank  # dim K.x = rank dmu
-        audits.append(SampleAudit(
-            seed=sample.seed,
-            rank_dmu=rank,
-            dim_isotropy=iso,
-            estimate=(dim_proj - rank) - (dim_k_alpha - iso),
-            residual=sample.residual,
-            sv_gap=_sv_gap(sv, rank),
-            regular=not ill,
-            iterations=sample.iterations,
-            restarts=sample.restarts,
-        ))
-    return audits
-
-
 def numeric_dim(target: SpectraPoint, n_samples: int = 5, seed: int = 0) -> NumericDimEstimate:
     """Independent dimension estimate from fiber samples.
 
@@ -447,7 +422,22 @@ def numeric_dim(target: SpectraPoint, n_samples: int = 5, seed: int = 0) -> Nume
     per_stack = max(1, STACK_ENTRIES // (3 * L * 2**L))
     audits = []
     for first in range(0, n_samples, per_stack):
-        audits += _audits(target, stratum, seeds[first:first + per_stack], dim_k_alpha, dim_proj)
+        samples = _fiber_samples(target, stratum, seeds[first:first + per_stack])
+        amps = np.stack([sample.state.amplitudes for sample in samples])
+        ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L))  # one SVD call per stack
+        for sample, rank, sv, ill in zip(samples, ranks, svals, shaky):
+            iso = 3 * L - rank  # dim K.x = rank dmu
+            audits.append(SampleAudit(
+                seed=sample.seed,
+                rank_dmu=rank,
+                dim_isotropy=iso,
+                estimate=(dim_proj - rank) - (dim_k_alpha - iso),
+                residual=sample.residual,
+                sv_gap=_sv_gap(sv, rank),
+                regular=not ill,
+                iterations=sample.iterations,
+                restarts=sample.restarts,
+            ))
 
     estimates = {a.estimate for a in audits}
     regular = all(a.regular for a in audits)

@@ -139,26 +139,6 @@ def _check_density_blocks(blocks: np.ndarray) -> list[float]:
     return radii
 
 
-@dataclass(frozen=True, eq=False)
-class DensityMatrix2:
-    """One-qubit density matrix: Hermitian, trace 1, PSD (all within MATRIX_TOL)."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValidationError(f"expected a 2x2 matrix, got shape {m.shape}")
-        _check_density_blocks(m[None])
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """(smaller, larger) eigenvalue, via the closed form for 2x2 Hermitian."""
-        r = _check_density_blocks(self.matrix[None])[0]
-        return 0.5 - r, 0.5 + r
-
-
 def _marginal(amps: np.ndarray, num_qubits: int, l: int, out: np.ndarray | None = None):
     """Unchecked partial trace onto slot l (1-based): X X^H with X the (2, 2^{L-1}) slot-l rows."""
     x = amps.reshape(2 ** (l - 1), 2, 2 ** (num_qubits - l)).swapaxes(0, 1).reshape(2, -1)
@@ -174,10 +154,12 @@ def _marginals(state: PureState) -> tuple[np.ndarray, list[float]]:
     return blocks, _check_density_blocks(blocks)
 
 
-def reduce_one_qubit(state: PureState, l: int) -> DensityMatrix2:
-    """Partial trace onto qubit l (1-based), discarding all other qubits."""
+def reduce_one_qubit(state: PureState, l: int) -> np.ndarray:
+    """Read-only (2, 2) partial trace onto qubit l (1-based), discarding all other qubits."""
     check_qubit_index(l, state.num_qubits, "qubit index")
-    return DensityMatrix2(_marginal(state.amplitudes, state.num_qubits, l))
+    rho = _marginal(state.amplitudes, state.num_qubits, l)
+    rho.flags.writeable = False
+    return rho
 
 
 def momentum_map(state: PureState) -> np.ndarray:

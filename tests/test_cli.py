@@ -20,6 +20,7 @@ from lupoly import (
     InternalInvariantError,
     SpectraPoint,
     dump_state,
+    membership,
     random_wall_point,
     sample_fiber,
     schemas,
@@ -278,6 +279,14 @@ class TestExitCodes:
         monkeypatch.setattr("lupoly.fiberlab.sample_fiber", refuse)
         code, _, err = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15")
         assert code == 2 and json.loads(err)["error"]["type"] == "ConvergenceError"
+
+    def test_sample_outside_the_region_exits_two(self, capsys, monkeypatch):
+        outside = membership(SpectraPoint((0.4, 0.0, 0.3)))
+        monkeypatch.setattr("lupoly.fiberlab.membership", lambda point: outside)
+        code, doc, err = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15")
+        error = json.loads(err)["error"]
+        assert (code, doc, error["type"]) == (2, None, "ConvergenceError")
+        assert "outside the admissible region" in error["message"]
 
     def test_invariant_violation_exits_three(self, capsys, monkeypatch):
         def broken(L):

@@ -1,5 +1,6 @@
 """Fiber sampling, the momentum differential, and the sampled dimension estimate."""
 
+import json
 import math
 import time
 import tracemalloc
@@ -164,7 +165,7 @@ class TestPauliImageKernel:
     def test_objective_matches_reference(self, case):
         _, amps, target, zero_mask = case
         L = amps.size.bit_length() - 1
-        e, g = fiberlab._residuals_and_jacobian(amps, L, target, zero_mask)
+        e, g = fiberlab._residuals_and_jacobian(amps, L, target, fiberlab._keep(zero_mask))
         assert e.shape == (L + 2 * zero_mask.sum(),) and g.shape == (e.size, 2**L)
         f_ref, grad_ref = reference_objective_and_grad(amps, L, target, zero_mask)
         assert e @ e == pytest.approx(f_ref, rel=0, abs=1e-12)
@@ -177,8 +178,8 @@ class TestPauliImageKernel:
         L = 4
         amps = haar_state(L, rng).amplitudes
         target = np.array([0.1, 0.2, 0.15, 0.05])
-        zero_mask = np.array([masked, False, False, masked])
-        _, g = fiberlab._residuals_and_jacobian(amps, L, target, zero_mask)
+        keep = fiberlab._keep([masked, False, False, masked])
+        _, g = fiberlab._residuals_and_jacobian(amps, L, target, keep)
         h = 1e-6
         for _ in range(5):
             d = rng.normal(size=2**L) + 1j * rng.normal(size=2**L)
@@ -188,7 +189,7 @@ class TestPauliImageKernel:
             def e(t):
                 moved = amps + t * d
                 moved /= np.linalg.norm(moved)
-                return fiberlab._residuals_and_jacobian(moved, L, target, zero_mask)[0]
+                return fiberlab._residuals_and_jacobian(moved, L, target, keep)[0]
 
             slopes = (e(h) - e(-h)) / (2 * h)
             assert np.allclose(slopes, (g.conj() @ d).real, rtol=1e-6, atol=1e-9)
@@ -208,19 +209,16 @@ class TestStackedKernel:
     """The descent and the rank layer run on a stack (n, 2^L), one row per sample."""
 
     @staticmethod
-    def descend_rows(starts, L, target, zero_mask, seeds):
-        rngs = [np.random.default_rng(s) for s in seeds]
-        return fiberlab._descend(starts, L, target, zero_mask, 1e-10, fiberlab.MAX_ITERS,
-                                 fiberlab.MAX_RESTARTS, rngs)
+    def descend_rows(starts, L, target, zero_mask):
+        return fiberlab._descend(starts, L, target, fiberlab._keep(zero_mask), fiberlab.MAX_ITERS)
 
-    def assert_rows_match_one_row_runs(self, starts, L, target, zero_mask, seeds):
-        amps, f, iterations, restarts = self.descend_rows(starts, L, target, zero_mask, seeds)
+    def assert_rows_match_one_row_runs(self, starts, L, target, zero_mask):
+        amps, f, steps = self.descend_rows(starts, L, target, zero_mask)
         assert max(f) <= 1e-20
-        for i, seed in enumerate(seeds):
-            one = self.descend_rows(starts[i:i + 1], L, target, zero_mask, [seed])
-            assert (iterations[i], restarts[i]) == (one[2][0], one[3][0])
+        for i in range(len(starts)):
+            one = self.descend_rows(starts[i:i + 1], L, target, zero_mask)
+            assert steps[i] == one[2][0]
             assert np.allclose(amps[i], one[0][0], rtol=0, atol=1e-12)
-        return iterations, restarts
 
     @pytest.mark.parametrize("masked", (False, True), ids=("plain", "zero-mask"))
     @pytest.mark.parametrize("L", (3, 4, 5, 6))
@@ -231,18 +229,29 @@ class TestStackedKernel:
         if masked:
             zero_mask[:2] = True
             target[:2] = 0.0
-        seeds = list(range(6))
-        starts = np.stack([haar_state(L, np.random.default_rng(s)).amplitudes for s in seeds])
-        self.assert_rows_match_one_row_runs(starts, L, target, zero_mask, seeds)
+        starts = np.stack([haar_state(L, np.random.default_rng(s)).amplitudes for s in range(6)])
+        self.assert_rows_match_one_row_runs(starts, L, target, zero_mask)
 
-    def test_one_row_restarts_while_the_others_converge(self):
+    def test_one_row_restarts_while_the_others_converge(self, monkeypatch):
         # a product state is a critical point, so row 0 restarts from its own generator
-        L, target = 3, INTERIOR3.as_array()
-        starts = np.stack([PureState.basis(L, 0).amplitudes]
-                          + [haar_state(L, np.random.default_rng(s)).amplitudes for s in (1, 2)])
-        _, restarts = self.assert_rows_match_one_row_runs(
-            starts, L, target, np.zeros(L, dtype=bool), [0, 1, 2])
-        assert restarts == [1, 0, 0]
+        exact_start = fiberlab._exact_start
+        fresh_seed_0 = np.random.default_rng(0).bit_generator.state
+
+        def product_start_for_seed_0(stratum, target, rng):
+            if rng.bit_generator.state == fresh_seed_0:
+                return PureState.basis(3, 0).amplitudes, "product"
+            return exact_start(stratum, target, rng)
+
+        monkeypatch.setattr(fiberlab, "_exact_start", product_start_for_seed_0)
+        stratum = classify(INTERIOR3)
+        samples = fiberlab._fiber_samples(INTERIOR3, stratum, [0, 1, 2])
+        assert [s.restarts for s in samples] == [1, 0, 0]
+        assert all(type(s.iterations) is int and type(s.restarts) is int for s in samples)
+        assert [s.method for s in samples] == ["descent"] * 3
+        for sample in samples:
+            (one,) = fiberlab._fiber_samples(INTERIOR3, stratum, [sample.seed])
+            assert (sample.iterations, sample.restarts) == (one.iterations, one.restarts)
+            assert np.allclose(sample.state.amplitudes, one.state.amplitudes, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lams", ((0.3, 0.3), (0.0, 0.0)))
     def test_two_qubit_targets_need_no_steps(self, lams):
@@ -345,6 +354,23 @@ class TestSampleFiber:
         with pytest.raises(TypeError, match="max_iters"):
             sample_fiber(INTERIOR3, max_iters=-1)
 
+    @pytest.mark.parametrize("sampler", (sample_fiber, numeric_dim), ids=("sample", "numeric"))
+    def test_sample_outside_the_region_fails_its_check(self, sampler, monkeypatch):
+        outside = membership(SpectraPoint((0.4, 0.0, 0.3)))
+        assert not outside.member
+        monkeypatch.setattr(fiberlab, "membership", lambda point: outside)
+        with pytest.raises(ConvergenceError, match="outside the admissible region$"):
+            sampler(INTERIOR3)
+
+    @pytest.mark.parametrize("sampler", (sample_fiber, numeric_dim), ids=("sample", "numeric"))
+    def test_sample_off_the_target_fails_its_check(self, sampler, monkeypatch):
+        # psi_map read 1e-9 off the converged sample, which stays inside the region
+        psi = fiberlab.psi_map
+        monkeypatch.setattr(fiberlab, "psi_map",
+                            lambda state: SpectraPoint(tuple(x + 1e-9 for x in psi(state).lambdas)))
+        with pytest.raises(ConvergenceError, match=r"lies 1\.7\d+e-09 from the target, above"):
+            sampler(INTERIOR3)
+
     def test_gives_up_honestly(self, monkeypatch):
         monkeypatch.setattr(fiberlab, "MAX_ITERS", 1)
         monkeypatch.setattr(fiberlab, "MAX_RESTARTS", 0)
@@ -396,7 +422,7 @@ class TestSampleFiber:
                 rng.normal(size=8) + 1j * rng.normal(size=8))
             start /= np.linalg.norm(start)
             objectives = [
-                fiberlab._descend(start[None], 3, target, np.zeros(3, dtype=bool), 1e-10, n)[1][0]
+                fiberlab._descend(start[None], 3, target, fiberlab._keep([False] * 3), n)[1][0]
                 for n in range(8)
             ]
             assert objectives == sorted(objectives, reverse=True)
@@ -423,10 +449,9 @@ class TestSampleFiber:
     def test_early_stop_counts_iterations_done(self):
         # a product state is a critical point: its Jacobian rows vanish
         amps = PureState.basis(3, 0).amplitudes[None]
-        _, f, iterations, restarts = fiberlab._descend(
-            amps, 3, INTERIOR3.as_array(), np.zeros(3, dtype=bool), 1e-10, 500
-        )
-        assert (iterations[0], restarts[0]) == (0, 0)
+        keep = fiberlab._keep([False] * 3)
+        _, f, steps = fiberlab._descend(amps, 3, INTERIOR3.as_array(), keep, 500)
+        assert steps == [0]
         assert f[0] > 0.1
 
 
@@ -557,6 +582,15 @@ class TestNumericDim:
         assert audit.rank_dmu == sum(s > cut for s in svals) < 9
         assert audit.dim_isotropy == 9 - audit.rank_dmu and not audit.regular
         assert estimate.status == "inconclusive" and estimate.dim_estimate is None
+
+    def test_counters_are_python_ints(self):
+        estimate = numeric_dim(INTERIOR3, n_samples=2)
+        for audit in estimate.samples:
+            assert type(audit.iterations) is int and type(audit.restarts) is int
+            assert type(audit.rank_dmu) is int
+        json.dumps(estimate.document())
+        sample = sample_fiber(INTERIOR3, seed=3)
+        assert type(sample.iterations) is int and type(sample.restarts) is int
 
     def test_document_shapes(self):
         doc = numeric_dim(INTERIOR3, n_samples=2).document()

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lupoly import (
-    DensityMatrix2,
     PureState,
     SpectraPoint,
     ValidationError,
@@ -45,22 +44,23 @@ GHZ3 = PureState.from_amplitudes([1, 0, 0, 0, 0, 0, 0, 1], renormalize=True)
 
 class TestReductions:
     def test_w_state_marginal(self):
-        rho = np.asarray(reduce_one_qubit(W3, 1).matrix)
+        rho = reduce_one_qubit(W3, 1)
         assert np.allclose(rho, np.diag([2 / 3, 1 / 3]), atol=1e-12)
+        assert rho.shape == (2, 2) and not rho.flags.writeable
 
     def test_w_state_spectra(self):
         assert np.allclose(psi_map(W3).as_array(), [1 / 6, 1 / 6, 1 / 6], atol=1e-12)
 
     def test_ghz_marginals_maximally_mixed(self):
         for l in (1, 2, 3):
-            rho = np.asarray(reduce_one_qubit(GHZ3, l).matrix)
+            rho = reduce_one_qubit(GHZ3, l)
             assert np.allclose(rho, np.eye(2) / 2, atol=1e-15)
         assert np.allclose(psi_map(GHZ3).as_array(), 0.0, atol=1e-15)
 
     def test_product_basis_state(self):
         state = PureState.basis(3, 0b101)
         for l, want in zip((1, 2, 3), ([1, 1], [0, 0], [1, 1])):
-            rho = np.asarray(reduce_one_qubit(state, l).matrix)
+            rho = reduce_one_qubit(state, l)
             assert rho[want[0], want[1]] == pytest.approx(1.0)
         assert psi_map(state).lambdas == (0.5, 0.5, 0.5)
 
@@ -70,7 +70,7 @@ class TestReductions:
         for _ in range(5):
             state = haar_state(num_qubits, rng)
             for l in range(1, num_qubits + 1):
-                fast = np.asarray(reduce_one_qubit(state, l).matrix)
+                fast = reduce_one_qubit(state, l)
                 slow = loop_partial_trace(state.amplitudes, num_qubits, l)
                 assert np.allclose(fast, slow, atol=1e-12)
 
@@ -78,7 +78,7 @@ class TestReductions:
         mu = momentum_map(W3)
         assert mu.shape == (3, 2, 2) and not mu.flags.writeable
         for l in (1, 2, 3):
-            rho = np.asarray(reduce_one_qubit(W3, l).matrix)
+            rho = reduce_one_qubit(W3, l)
             assert np.allclose(mu[l - 1], rho - np.eye(2) / 2, atol=1e-15)
             assert abs(np.trace(mu[l - 1])) < 1e-14
 
@@ -130,11 +130,10 @@ class TestSpectraAndPurity:
     def test_closed_form_eigenvalues_match_lapack(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            rho = reduce_one_qubit(haar_state(3, rng), 2)
-            lo, hi = rho.eigenvalues()
-            ref = np.linalg.eigvalsh(np.asarray(rho.matrix))
-            assert lo == pytest.approx(ref[0], abs=1e-12)
-            assert hi == pytest.approx(ref[1], abs=1e-12)
+            state = haar_state(3, rng)
+            lo, hi = np.linalg.eigvalsh(reduce_one_qubit(state, 2))
+            assert psi_map(state).lambdas[1] == pytest.approx(0.5 - lo, abs=1e-12)
+            assert hi == pytest.approx(1.0 - lo, abs=1e-12)
 
 
 class TestValidation:

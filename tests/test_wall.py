@@ -124,7 +124,7 @@ class TestWallState:
         alpha = random_wall_point(4, rng)
         state = wall_state(alpha, rng.uniform(0.0, 2.0 * np.pi, size=4))
         for l in range(1, 5):
-            rho = reduce_one_qubit(state, l).matrix
+            rho = reduce_one_qubit(state, l)
             assert abs(rho[0, 1]) < 1e-12 and abs(rho[1, 0]) < 1e-12
 
     def test_wall_equality_reproduced(self):
