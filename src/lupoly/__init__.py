@@ -12,6 +12,7 @@ load numpy.
 """
 
 import importlib
+import types
 
 from .dimension import DimReport, dim_for_point, dim_reduced_space, report_document
 from .errors import (
@@ -52,7 +53,6 @@ from .wall import (
 _LAZY = {
     "PureState": "qstate",
     "apply_local_unitary": "qstate",
-    "dump_state": "qstate",
     "haar_state": "qstate",
     "load_state": "qstate",
     "momentum_map": "qstate",
@@ -80,6 +80,13 @@ _LAZY = {
 }
 
 
+# Every public name is bound above or listed in _LAZY, and nowhere else.
+__all__ = sorted([
+    name for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + list(_LAZY))
+
+
 def __getattr__(name: str):
     if name not in _LAZY:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
@@ -93,64 +100,3 @@ def __dir__() -> list:
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ConvergenceError",
-    "DimReport",
-    "DmuReport",
-    "Facet",
-    "FiberSample",
-    "Inequality",
-    "InternalInvariantError",
-    "LupolyError",
-    "MembershipResult",
-    "NumericDimEstimate",
-    "NumericalError",
-    "OrbitReport",
-    "PureState",
-    "SampleAudit",
-    "SpectraPoint",
-    "StabilityReport",
-    "StratumClass",
-    "TorusCertificate",
-    "ValidationError",
-    "Vertex",
-    "VertexList",
-    "WallOperator",
-    "WeightSubspaceBasis",
-    "apply_local_unitary",
-    "build_wall_operator",
-    "classify",
-    "complement_pair_state",
-    "dim_for_point",
-    "dim_reduced_space",
-    "dump_state",
-    "eigenspace_basis",
-    "facets",
-    "haar_state",
-    "load_state",
-    "membership",
-    "momentum_map",
-    "momentum_differential_matrix",
-    "momentum_rank_report",
-    "numeric_dim",
-    "orbit_dimensions",
-    "psi_map",
-    "purity_invariants",
-    "random_interior_point",
-    "random_local_unitaries",
-    "random_wall_point",
-    "rank_dmu",
-    "reduce_one_qubit",
-    "report_document",
-    "sample_fiber",
-    "slacks",
-    "stable_state",
-    "state_document",
-    "state_from_document",
-    "torus_transitivity_check",
-    "verify_stable",
-    "vertices",
-    "vertices_oracle",
-    "wall_state",
-]

@@ -23,10 +23,10 @@ This module is the numpy-free base layer.  It also holds the point type
 ``check_int`` for every count, index and seed and ``check_real`` for the
 slack tolerance, the float coordinates and ``stable_state``'s weight.  The
 slack tolerance (below 1/4 in ``classify``) is the one tolerance a caller
-sets; MEMBER_TOL is its float default and also the wall tolerance of
-``wall.wall_state``.  So ``dimension``, ``wall`` and the exact CLI
-subcommands run without importing numpy; ``qstate`` re-exports the point
-type and the qubit checks.
+sets; ``slack_tol`` gives its default, 0 for exact points and MEMBER_TOL
+for floats, to ``membership``, ``classify`` and ``wall.wall_state``.  So
+``dimension``, ``wall`` and the exact CLI subcommands run without
+importing numpy; ``qstate`` re-exports the point type and the qubit checks.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ def check_real(value, what: str, low: float) -> float:
             x = math.inf
         if math.isfinite(x) and low <= x:
             return x
-    raise ValidationError(f"{what} must be a finite number in [{low:g}, inf), got {value!r}")
+    interval = "" if low == -math.inf else f" in [{low:g}, inf)"
+    raise ValidationError(f"{what} must be a finite number{interval}, got {value!r}")
 
 
 def check_qubit_count(num_qubits: int, low: int, what: str) -> int:
@@ -147,8 +148,7 @@ HALF = Fraction(1, 2)
 # Inequality kinds in row order of ``slacks``.
 KINDS = ("lower", "upper", "wall")
 
-# Default slack tolerance for float-valued points; wall.wall_state holds its
-# membership and wall equality to it as well.
+# Default slack tolerance for float-valued points (see ``slack_tol``).
 MEMBER_TOL = 1e-9
 
 # The brute-force vertex oracle solves C(3L, L) exact systems, about 7 s at
@@ -193,9 +193,16 @@ class MembershipResult:
     violations: tuple  # of (Inequality, float slack)
 
 
-def membership(point: SpectraPoint, tol: float = MEMBER_TOL) -> MembershipResult:
-    """Check the 3L inequalities; slacks below -tol are violations."""
-    tol = check_real(tol, "slack tolerance", 0.0)
+def slack_tol(point: SpectraPoint, tol: float | None = None) -> float:
+    """The checked slack tolerance; by default 0 for exact points and MEMBER_TOL for floats."""
+    if tol is None:
+        return 0.0 if point.is_exact else MEMBER_TOL
+    return check_real(tol, "slack tolerance", 0.0)
+
+
+def membership(point: SpectraPoint, tol: float | None = None) -> MembershipResult:
+    """Check the 3L inequalities; slacks below -tol (default ``slack_tol``) are violations."""
+    tol = slack_tol(point, tol)
     L = check_qubit_count(point.num_qubits, 1, "membership")
     bad = tuple(
         (Inequality(KINDS[i // L], i % L + 1), float(s))
@@ -242,10 +249,10 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
     system with fewer than three qubits is marked degenerate, then
     tight walls and zero coordinates are read off the residual system.
     """
-    if tol is None:
-        tol = 0.0 if point.is_exact else MEMBER_TOL
-    elif check_real(tol, "slack tolerance", 0.0) >= 0.25:
+    checked = slack_tol(point, tol)
+    if checked >= 0.25:
         raise ValidationError(f"slack tolerance must be a finite number in [0, 1/4), got {tol!r}")
+    tol = checked
     res = membership(point, tol=tol)
     if not res.member:
         worst = min(s for _, s in res.violations)

@@ -16,7 +16,6 @@ re-exported here, so ``lupoly.qstate.SpectraPoint`` names the same class.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -306,11 +305,3 @@ def state_document(state: PureState) -> dict:
         "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
     }
 
-
-def dump_state(state: PureState, path_or_file) -> None:
-    doc = state_document(state)
-    if hasattr(path_or_file, "write"):
-        json.dump(doc, path_or_file)
-        return
-    with open(path_or_file, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)

@@ -19,8 +19,8 @@ from itertools import combinations
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import (MEMBER_TOL, SpectraPoint, check_int, check_qubit_count, check_qubit_index,
-                       membership, slacks)
+from .polytope import (SpectraPoint, check_int, check_qubit_count, check_qubit_index, membership,
+                       slack_tol, slacks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,11 +101,7 @@ def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightS
     return WeightSubspaceBasis(L, k, tuple(kets), distinguished=d, eigenvalue=-L + 2 * k)
 
 
-def wall_state(
-    alpha: SpectraPoint,
-    phases,
-    distinguished: int | None = None,
-) -> "PureState":
+def wall_state(alpha: SpectraPoint, phases) -> "PureState":
     """Explicit fiber state over a wall point.
 
     Parameters
@@ -114,12 +110,13 @@ def wall_state(
         Member spectra point satisfying the wall equality of some qubit
         d: -lambda_d + sum_{j != d} lambda_j = L/2 - 1.  All coordinates
         must be strictly below 1/2 (strip 1/2 coordinates first).
+        Membership and the wall equality hold within ``slack_tol``: exactly
+        for exact points, within MEMBER_TOL for floats.  d is the first
+        qubit whose wall holds.  Below 1/2 two walls can hold together
+        only at L = 2, where the choice just swaps the two phases.
     phases:
         Real vector of L phases; entry l-1 multiplies the amplitude
         attached to qubit l.
-    distinguished:
-        Which wall to use.  Detected automatically when omitted.  The
-        wall equality and membership must hold within MEMBER_TOL.
 
     The state is supported on the eigenvalue -L+2 eigenspace: amplitude
     sqrt(1/2 + lambda_d) on the all-ones ket and sqrt(1/2 - lambda_j)
@@ -128,7 +125,8 @@ def wall_state(
     L = alpha.num_qubits
     if L < 2:
         raise ValidationError("wall states need at least two qubits")
-    if not membership(alpha).member:
+    tol = slack_tol(alpha)
+    if not membership(alpha, tol).member:
         raise ValidationError("alpha is not an admissible spectra point")
     lams = alpha.lambdas
     if any(float(x) >= 0.5 for x in lams):
@@ -136,19 +134,9 @@ def wall_state(
             "wall_state requires all coordinates strictly below 1/2; "
             "strip 1/2 coordinates (product factors) first"
         )
-    walls = slacks(lams)[2 * L:]
-    if distinguished is None:
-        matches = [d for d in range(1, L + 1) if abs(walls[d - 1]) <= MEMBER_TOL]
-        if not matches:
-            raise ValidationError("alpha does not satisfy any wall equality")
-        distinguished = matches[0]
-    else:
-        distinguished = check_qubit_index(distinguished, L, "distinguished index")
-        if abs(walls[distinguished - 1]) > MEMBER_TOL:
-            raise ValidationError(
-                f"alpha does not satisfy the wall equality of qubit {distinguished}"
-            )
-    d = distinguished
+    d = next((l for l, s in enumerate(slacks(lams)[2 * L:], 1) if abs(s) <= tol), None)
+    if d is None:
+        raise ValidationError("alpha does not satisfy any wall equality")
 
     import numpy as np
 

@@ -1,10 +1,34 @@
-"""The package's public names: ``lupoly.__all__`` matches what the package binds or loads lazily."""
+"""The package's public names: ``lupoly.__all__`` is the pinned set the package binds or loads lazily."""
 
 import types
 
 import pytest
 
 import lupoly
+
+
+# The package's public surface, written out so that a new public helper in
+# ``lupoly/__init__.py`` cannot join the derived ``__all__`` unnoticed.
+PUBLIC = {
+    "ConvergenceError", "DimReport", "DmuReport", "Facet", "FiberSample", "Inequality",
+    "InternalInvariantError", "LupolyError", "MembershipResult", "NumericDimEstimate",
+    "NumericalError", "OrbitReport", "PureState", "SampleAudit", "SpectraPoint",
+    "StabilityReport", "StratumClass", "TorusCertificate", "ValidationError", "Vertex",
+    "VertexList", "WallOperator", "WeightSubspaceBasis", "apply_local_unitary",
+    "build_wall_operator", "classify", "complement_pair_state", "dim_for_point",
+    "dim_reduced_space", "eigenspace_basis", "facets", "haar_state", "load_state", "membership",
+    "momentum_differential_matrix", "momentum_map", "momentum_rank_report", "numeric_dim",
+    "orbit_dimensions", "psi_map", "purity_invariants", "random_interior_point",
+    "random_local_unitaries", "random_wall_point", "rank_dmu", "reduce_one_qubit",
+    "report_document", "sample_fiber", "slacks", "stable_state", "state_document",
+    "state_from_document", "torus_transitivity_check", "verify_stable", "vertices",
+    "vertices_oracle", "wall_state",
+}
+
+
+def test_public_surface_is_pinned():
+    assert set(lupoly.__all__) == PUBLIC
+    assert lupoly.__all__ == sorted(PUBLIC)
 
 
 def test_every_exported_name_resolves():

@@ -1,6 +1,7 @@
 """Wall operator, its eigenspaces, explicit wall states, and the torus certificate."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from lupoly import (
     classify,
     complement_pair_state,
     eigenspace_basis,
+    membership,
     psi_map,
     purity_invariants,
     random_wall_point,
     reduce_one_qubit,
+    slacks,
     torus_transitivity_check,
     wall_state,
 )
@@ -150,7 +153,7 @@ class TestWallState:
     def test_support_spans_low_eigenspace_kets(self):
         rng = np.random.default_rng(34)
         alpha = random_wall_point(5, rng, distinguished=3)
-        state = wall_state(alpha, np.zeros(5), distinguished=3)
+        state = wall_state(alpha, np.zeros(5))
         support = set(np.flatnonzero(np.abs(state.amplitudes) > 1e-15))
         assert support == set(eigenspace_basis(5, 1, distinguished=3).kets)
 
@@ -159,6 +162,22 @@ class TestWallState:
         weights = np.abs(state.amplitudes) ** 2
         assert weights[0b11] == pytest.approx(0.7)
         assert weights[0b00] == pytest.approx(0.3)
+
+    def test_one_slack_tolerance_rule(self):
+        # exact points are held to their exact slacks, floats to MEMBER_TOL
+        eps = Fraction(1, 10**12)
+        off = SpectraPoint((Fraction(1, 10), Fraction(3, 10), Fraction(3, 10) + eps))
+        assert slacks(off.lambdas)[6] == -eps  # the wall of qubit 1
+        assert not membership(off).member
+        with pytest.raises(ValidationError, match="outside the admissible region"):
+            classify(off)
+        with pytest.raises(ValidationError, match="admissible"):
+            wall_state(off, np.zeros(3))
+        near = SpectraPoint(tuple(float(x) for x in off.lambdas))
+        assert membership(near).member
+        assert classify(near).tight_walls == (1,)
+        state = wall_state(near, np.zeros(3))
+        assert np.allclose(psi_map(state).as_array(), near.as_array(), atol=1e-10)
 
     def test_validation(self):
         rng = np.random.default_rng(35)
@@ -169,8 +188,6 @@ class TestWallState:
         with pytest.raises(ValidationError, match="admissible"):
             wall_state(SpectraPoint((0.4, 0.0, 0.3)), np.zeros(3))
         alpha = random_wall_point(3, rng)
-        with pytest.raises(ValidationError, match="wall equality of qubit 2"):
-            wall_state(alpha, np.zeros(3), distinguished=2)
         with pytest.raises(ValidationError, match="expected 3 phases"):
             wall_state(alpha, np.zeros(4))
         with pytest.raises(ValidationError, match="finite"):
@@ -250,12 +267,6 @@ class TestQubitIndexIsAnInteger:
             PureState.basis(3, bad)
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
-    def test_wall_state(self, bad):
-        alpha = random_wall_point(3, np.random.default_rng(36))
-        with pytest.raises(ValidationError, match="must be an integer"):
-            wall_state(alpha, np.zeros(3), distinguished=bad)
-
-    @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_random_wall_point(self, bad):
         with pytest.raises(ValidationError, match="must be an integer"):
             random_wall_point(3, np.random.default_rng(37), distinguished=bad)
@@ -269,5 +280,5 @@ class TestQubitIndexIsAnInteger:
         assert PureState.basis(3, np.int64(5)).amplitudes[5] == 1.0
         alpha = random_wall_point(3, np.random.default_rng(38), distinguished=d)
         assert classify(alpha).tight_walls == (2,)
-        state = wall_state(alpha, np.zeros(3), distinguished=d)
+        state = wall_state(alpha, np.zeros(3))
         assert np.allclose(psi_map(state).as_array(), alpha.as_array(), atol=1e-10)
