@@ -14,7 +14,7 @@ load numpy.
 import importlib
 import types
 
-from .dimension import DimReport, dim_for_point, dim_reduced_space, report_document
+from .dimension import DimReport, dim_for_point, dim_reduced_space
 from .errors import (
     ConvergenceError,
     InternalInvariantError,
@@ -31,6 +31,7 @@ from .polytope import (
     Vertex,
     VertexList,
     classify,
+    document,
     facets,
     membership,
     random_interior_point,

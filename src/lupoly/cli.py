@@ -31,9 +31,11 @@ import sys
 import traceback
 from fractions import Fraction
 
-from .dimension import dim_for_point, report_document
+from .dimension import dim_for_point
 from .errors import InternalInvariantError, NumericalError, ValidationError
-from .polytope import SpectraPoint, classify, facets, read_json, vertices, vertices_oracle
+from .polytope import (
+    SpectraPoint, classify, document, facets, read_json, vertices, vertices_oracle,
+)
 from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_check
 
 # Tokens honored exactly: integers and p/q fractions.  Anything else in
@@ -122,21 +124,8 @@ def _resolve_point(args) -> SpectraPoint:
 
 
 def _stratum_document(stratum) -> dict:
-    return {
-        "member": True,  # classify raises on a non-member
-        "num_qubits": stratum.num_qubits,
-        "k_half": stratum.k_half,
-        "half_qubits": list(stratum.half_qubits),
-        "k_zero": stratum.k_zero,
-        "zero_qubits": list(stratum.zero_qubits),
-        "tight_walls": list(stratum.tight_walls),
-        "residual_qubits": list(stratum.residual_qubits),
-        "residual_L": stratum.residual_L,
-        "degenerate": stratum.degenerate,
-        "exact": stratum.tol == 0.0,
-        "tol": stratum.tol,
-        "trail": list(stratum.trail),
-    }
+    # classify raises on a non-member
+    return {"member": True, **document(stratum), "exact": stratum.tol == 0.0}
 
 
 def _vertex_document(vertex) -> dict:
@@ -173,9 +162,7 @@ def cmd_classify(args):
 def cmd_dim(args):
     point = _resolve_point(args)
     stratum, report = dim_for_point(point, tol=args.tol)
-    doc = report_document(report)
-    doc["classification"] = _stratum_document(stratum)
-    return doc, 0
+    return {**document(report), "classification": _stratum_document(stratum)}, 0
 
 
 def cmd_vertices(args):
@@ -235,7 +222,7 @@ def cmd_xspec(args):
 
 
 def cmd_wall_check(args):
-    return torus_transitivity_check(args.L).document(), 0
+    return document(torus_transitivity_check(args.L)), 0
 
 
 def cmd_stable(args):
@@ -252,8 +239,7 @@ def cmd_stable(args):
         state = stability.stable_state(args.L, alpha=args.alpha)
         constructed = True
     report = stability.verify_stable(state, k1=args.k1)
-    doc = {"num_qubits": state.num_qubits, "alpha": args.alpha}
-    doc.update(report.document())
+    doc = {"num_qubits": state.num_qubits, "alpha": args.alpha, **document(report)}
     if constructed:
         doc["state"] = qstate.state_document(state)
     code = 2 if report.orbit.ill_conditioned else 0
@@ -283,7 +269,7 @@ def cmd_oracle_dim(args):
 
     point = _resolve_point(args)
     estimate = fiberlab.numeric_dim(point, n_samples=args.samples, seed=args.seed)
-    return estimate.document(), 0 if estimate.status == "ok" else 2
+    return document(estimate), 0 if estimate.status == "ok" else 2
 
 
 def cmd_selftest(args):

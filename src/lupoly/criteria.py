@@ -21,6 +21,7 @@ from .polytope import (
     MAX_QUBITS,
     SpectraPoint,
     check_int,
+    document,
     facets,
     membership,
     random_interior_point,
@@ -148,7 +149,7 @@ def _oracle_agreement(samples: int, seed: int) -> str:
         closed = dim_for_point(target)[1].dim_M
         est = numeric_dim(target, n_samples=samples)
         agree = est.status == "ok" and est.dim_estimate == closed and want in (None, closed)
-        _check(agree, "numeric dim", closed=closed, want=want, estimate=est.document())
+        _check(agree, "numeric dim", closed=closed, want=want, estimate=document(est))
     return (
         f"{samples} interior targets/L=3,4,5, (0.1,0.1,0.1), zero chain, one interior and "
         f"its two-zero twin/L=6..{MAX_QUBITS}; {samples} samples each"

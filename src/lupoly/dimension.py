@@ -102,13 +102,3 @@ def dim_for_point(point: SpectraPoint, tol: float | None = None) -> tuple[Stratu
     """Classify a point and report its reduced-space dimension."""
     stratum = classify(point, tol=tol)
     return stratum, dim_reduced_space(stratum)
-
-
-def report_document(report: DimReport) -> dict:
-    return {
-        "dim_M": report.dim_M,
-        "num_invariants": report.num_invariants,
-        "formula": report.formula,
-        "status": report.status,
-        "notes": list(report.notes),
-    }

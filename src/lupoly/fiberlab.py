@@ -348,19 +348,6 @@ class SampleAudit:
     iterations: int  # Gauss-Newton steps tried for the fiber sample, over all restarts
     restarts: int
 
-    def document(self) -> dict:
-        return {
-            "seed": self.seed,
-            "rank_dmu": self.rank_dmu,
-            "dim_isotropy": self.dim_isotropy,
-            "estimate": self.estimate,
-            "residual": self.residual,
-            "sv_gap": self.sv_gap if math.isfinite(self.sv_gap) else None,
-            "regular": self.regular,
-            "iterations": self.iterations,
-            "restarts": self.restarts,
-        }
-
 
 @dataclass(frozen=True)
 class NumericDimEstimate:
@@ -369,19 +356,8 @@ class NumericDimEstimate:
     status: str  # "ok" | "inconclusive"
     regular: bool
     dim_k_alpha: int
-    samples: tuple
     agreement: int
-
-    def document(self) -> dict:
-        return {
-            "target": [float(x) for x in self.target.lambdas],
-            "dim_estimate": self.dim_estimate,
-            "status": self.status,
-            "regular": self.regular,
-            "dim_k_alpha": self.dim_k_alpha,
-            "agreement": self.agreement,
-            "samples": [s.document() for s in self.samples],
-        }
+    samples: tuple
 
 
 def numeric_dim(target: SpectraPoint, n_samples: int = 5, seed: int = 0) -> NumericDimEstimate:
@@ -444,5 +420,5 @@ def numeric_dim(target: SpectraPoint, n_samples: int = 5, seed: int = 0) -> Nume
     agreement = max(sum(1 for a in audits if a.estimate == e) for e in estimates)
     if regular and len(estimates) == 1:
         value = estimates.pop()
-        return NumericDimEstimate(target, value, "ok", True, dim_k_alpha, tuple(audits), agreement)
-    return NumericDimEstimate(target, None, "inconclusive", regular, dim_k_alpha, tuple(audits), agreement)
+        return NumericDimEstimate(target, value, "ok", True, dim_k_alpha, agreement, tuple(audits))
+    return NumericDimEstimate(target, None, "inconclusive", regular, dim_k_alpha, agreement, tuple(audits))

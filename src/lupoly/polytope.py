@@ -19,7 +19,8 @@ with exact rational coordinates are classified exactly; float
 coordinates fall back to a tolerance.
 
 This module is the numpy-free base layer.  It also holds the point type
-``SpectraPoint``, ``read_json`` and the package's two argument checks:
+``SpectraPoint``, ``read_json``, ``document`` (the one rule that turns a
+result into its JSON document) and the package's two argument checks:
 ``check_int`` for every count, index and seed and ``check_real`` for the
 slack tolerance, the float coordinates and ``stable_state``'s weight.  The
 slack tolerance (below 1/4 in ``classify``) is the one tolerance a caller
@@ -34,13 +35,13 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational, Real
 from typing import Sequence
 
-from ._exact import exact_rank, solve_unique
+from ._exact import solve_unique
 from .errors import ValidationError
 
 MAX_QUBITS = 12
@@ -143,6 +144,25 @@ class SpectraPoint:
         return cls(tuple(Fraction(v) for v in values))
 
 
+def document(result):
+    """The JSON document of a result, written by one rule.
+
+    A dataclass becomes an object of its fields in declaration order, tuples
+    and lists become lists, a SpectraPoint becomes its float coordinates and
+    a non-finite float becomes null; these apply recursively, and every
+    other value passes through unchanged.
+    """
+    if isinstance(result, SpectraPoint):
+        return [float(x) for x in result.lambdas]
+    if is_dataclass(result):
+        return {f.name: document(getattr(result, f.name)) for f in fields(result)}
+    if isinstance(result, (tuple, list)):
+        return [document(x) for x in result]
+    if isinstance(result, float) and not math.isfinite(result):
+        return None
+    return result
+
+
 HALF = Fraction(1, 2)
 
 # Inequality kinds in row order of ``slacks``.
@@ -152,9 +172,8 @@ KINDS = ("lower", "upper", "wall")
 MEMBER_TOL = 1e-9
 
 # The brute-force vertex oracle solves C(3L, L) exact systems, about 7 s at
-# L = 6 and a minute at L = 7; facets only test the closed-form vertices.
+# L = 6 and a minute at L = 7.
 MAX_ORACLE_QUBITS = 6
-MAX_FACET_QUBITS = 8
 
 # Every slack of a random_interior_point exceeds this.
 INTERIOR_MARGIN = 0.02
@@ -404,36 +423,27 @@ class Facet:
 def facets(num_qubits: int) -> tuple:
     """Facets of the region, each with its incident vertex labels.
 
-    Candidate faces come from the 3L inequalities; a candidate is kept
-    only when its incident vertices affinely span a hyperplane.  For
-    L >= 4 all 3L candidates survive; at L = 3 the upper bounds only
-    cut out edges and are dropped.
+    A face of a polytope is fixed by its vertices, and every proper face
+    lies in a facet, so row r cuts out a facet exactly when its tight
+    vertex set is non-empty and no other row's tight set strictly
+    contains it.  For L >= 4 all 3L rows are facets; at L = 3 the upper
+    bounds only cut out edges and are dropped; at L = 2, where the region
+    is a segment, the two wall rows hold on all of it.
     """
-    L = check_int(num_qubits, "facets: the qubit count", 2, MAX_FACET_QUBITS)
+    L = check_qubit_count(num_qubits, 2, "facets")
     verts = vertices(L).vertices
     vert_slacks = [slacks(v.point.lambdas) for v in verts]
+    # tight[r] has bit i set when vertex i lies on row r
+    tight = [
+        sum(1 << i for i, s in enumerate(vert_slacks) if s[row] == 0) for row in range(3 * L)
+    ]
     out = []
-    for row in range(3 * L):
+    for row, mask in enumerate(tight):
+        if not mask or any(other != mask and (mask & other) == mask for other in tight):
+            continue
         ineq = Inequality(KINDS[row // L], row % L + 1)
-        incident = [v for v, s in zip(verts, vert_slacks) if s[row] == 0]
-        if len(incident) < L:
-            continue
-        base = incident[0].point.lambdas
-        diffs = [
-            [v.point.lambdas[i] - base[i] for i in range(L)]
-            for v in incident[1:]
-        ]
-        if exact_rank(diffs) != L - 1:
-            continue
-        out.append(
-            Facet(
-                kind=ineq.kind,
-                qubit=ineq.qubit,
-                equality=ineq.equality,
-                vertex_labels=tuple(v.label for v in incident),
-                n_incident=len(incident),
-            )
-        )
+        labels = tuple(v.label for i, v in enumerate(verts) if mask >> i & 1)
+        out.append(Facet(ineq.kind, ineq.qubit, ineq.equality, labels, len(labels)))
     return tuple(out)
 
 
@@ -447,29 +457,23 @@ def random_interior_point(num_qubits: int, rng) -> SpectraPoint:
     raise ValidationError(f"no interior point found at margin {margin} for L={L}")
 
 
-def random_wall_point(num_qubits: int, rng, distinguished: int = 1) -> SpectraPoint:
-    """Random member point on the wall facet of the distinguished qubit.
+def random_wall_point(num_qubits: int, rng) -> SpectraPoint:
+    """Random member point on the wall facet of qubit 1.
 
     Sampled through the amplitude moduli of the wall fibration: a
-    dominant weight m_d in (0.55, 0.95) and a Dirichlet split of the
-    remaining mass.  With lambda_d = m_d - 1/2 and lambda_j = 1/2 - m_j
+    dominant weight m_1 in (0.55, 0.95) and a Dirichlet split of the
+    remaining mass.  With lambda_1 = m_1 - 1/2 and lambda_j = 1/2 - m_j
     the wall equality holds up to rounding and every other slack is
-    2(lambda_j - lambda_d) > 0, so membership is automatic.
+    2(lambda_j - lambda_1) > 0, so membership is automatic.  Permuting
+    the coordinates moves the point onto another qubit's wall.
     """
     L = check_qubit_count(num_qubits, 3, "wall sampling")
-    d = check_qubit_index(distinguished, L, "distinguished qubit")
-    m_d = rng.uniform(0.55, 0.95)
-    floor = 0.25 * (1.0 - m_d) / (L - 1)
+    m_1 = rng.uniform(0.55, 0.95)
+    floor = 0.25 * (1.0 - m_1) / (L - 1)
     for _ in range(10000):
-        parts = rng.dirichlet([1.0] * (L - 1)) * (1.0 - m_d)
+        parts = rng.dirichlet([1.0] * (L - 1)) * (1.0 - m_1)
         if parts.min() >= floor:
             break
     else:
         raise ValidationError(f"no wall point found for L={L}")
-    lams = [0.0] * L
-    lams[d - 1] = m_d - 0.5
-    rest = iter(0.5 - parts)
-    for j in range(L):
-        if j != d - 1:
-            lams[j] = float(next(rest))
-    return SpectraPoint(tuple(lams))
+    return SpectraPoint((m_1 - 0.5, *(float(x) for x in 0.5 - parts)))

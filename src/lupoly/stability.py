@@ -40,17 +40,6 @@ class OrbitReport:
     rank_tol: float
     ill_conditioned: bool
 
-    def document(self) -> dict:
-        return {
-            "dim_K_orbit": self.dim_K_orbit,
-            "dim_G_orbit_complex": self.dim_G_orbit_complex,
-            "dim_isotropy_algebra": self.dim_isotropy_algebra,
-            "compact_singular_values": list(self.compact_singular_values),
-            "complex_singular_values": list(self.complex_singular_values),
-            "rank_tol": self.rank_tol,
-            "ill_conditioned": self.ill_conditioned,
-        }
-
 
 def _real_columns(rows: np.ndarray) -> np.ndarray:
     """Real columns [Re; Im] of rows (..., m, 2^L): shape (..., 2^{L+1}, m), column i from row i."""
@@ -152,17 +141,6 @@ class StabilityReport:
 
     def __bool__(self) -> bool:
         return self.stable
-
-    def document(self) -> dict:
-        return {
-            "stable": self.stable,
-            "k1": self.k1,
-            "k1_rank": self.k1_rank,
-            "required_rank": self.required_rank,
-            "max_reduction_deviation": self.max_reduction_deviation,
-            "reductions_ok": self.reductions_ok,
-            "orbit": self.orbit.document(),
-        }
 
 
 def verify_stable(state: PureState, k1: int | None = None) -> StabilityReport:

@@ -171,20 +171,11 @@ def wall_state(alpha: SpectraPoint, phases) -> "PureState":
 class TorusCertificate:
     """Integer phase-shift matrix of the diagonal torus on the fiber amplitudes."""
 
-    num_qubits: int
+    L: int
     matrix: tuple
     rank: int
     quotient_rank: int
     transitive: bool
-
-    def document(self) -> dict:
-        return {
-            "L": self.num_qubits,
-            "matrix": [list(row) for row in self.matrix],
-            "rank": self.rank,
-            "quotient_rank": self.quotient_rank,
-            "transitive": self.transitive,
-        }
 
 
 def torus_transitivity_check(num_qubits: int) -> TorusCertificate:

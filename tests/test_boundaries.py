@@ -58,7 +58,6 @@ INTEGERS = {
     "facets.num_qubits": facets,
     "random_interior_point.num_qubits": lambda v: random_interior_point(v, RNG(0)),
     "random_wall_point.num_qubits": lambda v: random_wall_point(v, RNG(0)),
-    "random_wall_point.distinguished": lambda v: random_wall_point(3, RNG(0), distinguished=v),
     "build_wall_operator.num_qubits": build_wall_operator,
     "build_wall_operator.distinguished": lambda v: build_wall_operator(3, v),
     "eigenspace_basis.num_qubits": lambda v: eigenspace_basis(v, 1),

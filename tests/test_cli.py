@@ -40,14 +40,21 @@ class FakeTty(io.StringIO):
         return True
 
 
+def strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
 def run(capsys, *argv, stdin=None, monkeypatch=None):
-    """Invoke the CLI in process; returns (exit code, stdout doc, stderr text)."""
+    """Invoke the CLI in process; returns (exit code, stdout doc, stderr text).
+
+    The document must be strict JSON: NaN, Infinity or -Infinity fails the parse.
+    """
     if stdin is not None:
         assert monkeypatch is not None
         monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code = cli.main(list(argv))
     captured = capsys.readouterr()
-    doc = json.loads(captured.out) if captured.out.strip() else None
+    doc = json.loads(captured.out, parse_constant=strict_constant) if captured.out.strip() else None
     return code, doc, captured.err
 
 

@@ -13,9 +13,9 @@ from lupoly import (
     classify,
     dim_for_point,
     dim_reduced_space,
+    document,
     random_interior_point,
     random_wall_point,
-    report_document,
 )
 
 
@@ -194,7 +194,7 @@ class TestContracts:
         assert dim_reduced_space(stratum).dim_M == 2
 
     def test_report_document_is_plain_data(self):
-        doc = report_document(dims(SpectraPoint((0.1, 0.2, 0.15))))
+        doc = document(dims(SpectraPoint((0.1, 0.2, 0.15))))
         assert doc == {
             "dim_M": 2,
             "num_invariants": 5,

@@ -16,11 +16,11 @@ PUBLIC = {
     "StabilityReport", "StratumClass", "TorusCertificate", "ValidationError", "Vertex",
     "VertexList", "WallOperator", "WeightSubspaceBasis", "apply_local_unitary",
     "build_wall_operator", "classify", "complement_pair_state", "dim_for_point",
-    "dim_reduced_space", "eigenspace_basis", "facets", "haar_state", "load_state", "membership",
+    "dim_reduced_space", "document", "eigenspace_basis", "facets", "haar_state", "load_state", "membership",
     "momentum_differential_matrix", "momentum_map", "momentum_rank_report", "numeric_dim",
     "orbit_dimensions", "psi_map", "purity_invariants", "random_interior_point",
     "random_local_unitaries", "random_wall_point", "rank_dmu", "reduce_one_qubit",
-    "report_document", "sample_fiber", "slacks", "stable_state", "state_document",
+    "sample_fiber", "slacks", "stable_state", "state_document",
     "state_from_document", "torus_transitivity_check", "verify_stable", "vertices",
     "vertices_oracle", "wall_state",
 }

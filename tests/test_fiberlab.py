@@ -15,6 +15,7 @@ from lupoly import (
     SpectraPoint,
     ValidationError,
     classify,
+    document,
     haar_state,
     membership,
     momentum_differential_matrix,
@@ -588,16 +589,16 @@ class TestNumericDim:
         for audit in estimate.samples:
             assert type(audit.iterations) is int and type(audit.restarts) is int
             assert type(audit.rank_dmu) is int
-        json.dumps(estimate.document())
+        json.dumps(document(estimate))
         sample = sample_fiber(INTERIOR3, seed=3)
         assert type(sample.iterations) is int and type(sample.restarts) is int
 
     def test_document_shapes(self):
-        doc = numeric_dim(INTERIOR3, n_samples=2).document()
+        doc = document(numeric_dim(INTERIOR3, n_samples=2))
         assert doc["dim_estimate"] == 2 and doc["status"] == "ok"
         assert len(doc["samples"]) == 2
         assert doc["samples"][0]["sv_gap"] is None or doc["samples"][0]["sv_gap"] > 0
 
     def test_audit_document_masks_infinite_gap(self):
         audit = SampleAudit(0, 9, 0, 2, 1e-12, math.inf, True, 40, 0)
-        assert audit.document()["sv_gap"] is None
+        assert document(audit)["sv_gap"] is None

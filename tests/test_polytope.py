@@ -1,5 +1,8 @@
-"""Membership, strata, vertices, and facets of the admissible region."""
+"""Membership, strata, vertices, and facets of the admissible region, and result documents."""
 
+import json
+import math
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -11,18 +14,27 @@ from hypothesis import strategies as st
 
 from lupoly import (
     Inequality,
+    SampleAudit,
     SpectraPoint,
     ValidationError,
     classify,
+    dim_for_point,
+    document,
     facets,
     membership,
+    numeric_dim,
+    orbit_dimensions,
     random_interior_point,
     random_wall_point,
     slacks,
+    stable_state,
+    torus_transitivity_check,
+    verify_stable,
     vertices,
     vertices_oracle,
 )
 from lupoly import polytope
+from lupoly._exact import exact_rank
 from lupoly.polytope import HALF, INTERIOR_MARGIN, KINDS, MEMBER_TOL
 
 TABLE_L4 = {
@@ -294,13 +306,44 @@ class TestVertices:
             vertices_oracle(7)
 
 
+def affine_rank_facets(L):
+    """The reference rule: row r is a facet when its incident vertices affinely span L - 1 dimensions."""
+    verts = vertices(L).vertices
+    out = []
+    for row in range(3 * L):
+        incident = [v for v in verts if slacks(v.point.lambdas)[row] == 0]
+        if len(incident) < L:
+            continue
+        base = incident[0].point.lambdas
+        diffs = [[a - b for a, b in zip(v.point.lambdas, base)] for v in incident[1:]]
+        if exact_rank(diffs) == L - 1:
+            out.append((KINDS[row // L], row % L + 1, tuple(v.label for v in incident)))
+    return out
+
+
 class TestFacets:
+    @pytest.mark.parametrize("num_qubits", range(2, 9))
+    def test_incidence_rule_matches_affine_rank(self, num_qubits):
+        found = facets(num_qubits)
+        assert [(f.kind, f.qubit, f.vertex_labels) for f in found] == affine_rank_facets(num_qubits)
+        assert all(f.n_incident == len(f.vertex_labels) for f in found)
+
+    def test_two_qubit_segment_keeps_both_walls(self):
+        found = facets(2)
+        assert [(f.kind, f.qubit) for f in found] == [("wall", 1), ("wall", 2)]
+        assert all(set(f.vertex_labels) == {"v_SEP", "v_GHZ"} for f in found)
+
+    def test_size_limits(self):
+        for bad in (1, 13):
+            with pytest.raises(ValidationError, match="2..12, got"):
+                facets(bad)
+
     def test_three_qubits_upper_bounds_drop(self):
         found = facets(3)
         assert len(found) == 6
         assert {f.kind for f in found} == {"lower", "wall"}
 
-    @pytest.mark.parametrize("num_qubits", [4, 5, 6])
+    @pytest.mark.parametrize("num_qubits", [4, 5, 6, 9, 10, 11, 12])
     def test_count_is_three_per_qubit(self, num_qubits):
         assert len(facets(num_qubits)) == 3 * num_qubits
 
@@ -333,10 +376,9 @@ class TestSamplers:
     def test_wall_sampler_hits_requested_wall(self):
         rng = np.random.default_rng(11)
         for num_qubits in (3, 4, 5, 8):
-            for d in (1, num_qubits):
-                stratum = classify(random_wall_point(num_qubits, rng, distinguished=d))
-                assert stratum.tight_walls == (d,)
-                assert stratum.k_half == 0 and stratum.k_zero == 0
+            stratum = classify(random_wall_point(num_qubits, rng))
+            assert stratum.tight_walls == (1,)
+            assert stratum.k_half == 0 and stratum.k_zero == 0
 
     def test_wall_sampler_needs_three_qubits(self):
         rng = np.random.default_rng(13)
@@ -356,3 +398,32 @@ class TestSamplers:
         # the two-qubit region is the segment lambda_1 = lambda_2: no interior
         with pytest.raises(ValidationError, match="3..12, got 2"):
             random_interior_point(2, rng)
+
+
+# name -> a result of that type; the audit carries an infinite singular-value gap
+RESULTS = {
+    "DimReport": lambda: dim_for_point(SpectraPoint((0.1, 0.2, 0.15)))[1],
+    "StratumClass": lambda: classify(SpectraPoint.exact(("1/6", "1/3", "1/3"))),
+    "OrbitReport": lambda: orbit_dimensions(stable_state(4)),
+    "StabilityReport": lambda: verify_stable(stable_state(4), k1=2),
+    "TorusCertificate": lambda: torus_transitivity_check(4),
+    "SampleAudit": lambda: SampleAudit(0, 9, 0, 2, 1e-12, math.inf, True, 40, 0),
+    "NumericDimEstimate": lambda: numeric_dim(SpectraPoint((0.1, 0.2, 0.15)), n_samples=2),
+}
+
+
+class TestDocument:
+    @pytest.mark.parametrize("name", RESULTS)
+    def test_document_is_strict_json(self, name):
+        result = RESULTS[name]()
+        doc = document(result)
+        assert json.loads(json.dumps(doc, allow_nan=False)) == doc
+        assert list(doc) == [f.name for f in fields(result)]
+
+    def test_rule(self):
+        point = SpectraPoint.exact(("1/2", "0"))
+        assert document(point) == [0.5, 0.0]
+        assert document((1, [math.nan, -math.inf], "a", None)) == [1, [None, None], "a", None]
+        assert document(vertices(2).vertices[0]) == {
+            "label": "v_SEP", "zero_set": [], "point": [0.5, 0.5],
+        }

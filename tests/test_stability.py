@@ -9,6 +9,7 @@ from lupoly import (
     PureState,
     ValidationError,
     complement_pair_state,
+    document,
     haar_state,
     momentum_map,
     orbit_dimensions,
@@ -113,7 +114,7 @@ class TestOrbitDimensions:
             assert report.dim_G_orbit_complex <= 3 * num_qubits
 
     def test_document_carries_singular_values(self):
-        doc = orbit_dimensions(GHZ3).document()
+        doc = document(orbit_dimensions(GHZ3))
         assert len(doc["compact_singular_values"]) == 9
         # complex columns form an 8x9 matrix at three qubits
         assert len(doc["complex_singular_values"]) == 8
@@ -210,7 +211,7 @@ class TestVerifyStable:
                 verify_stable(GHZ4, k1=bad)
         report = verify_stable(GHZ4, k1=np.int64(4))
         assert type(report.k1) is int and report == verify_stable(GHZ4, k1=4)
-        assert json.loads(json.dumps(report.document())) == verify_stable(GHZ4).document()
+        assert json.loads(json.dumps(document(report))) == document(verify_stable(GHZ4))
 
     @pytest.mark.parametrize("k1", (1, 2, 4))
     def test_pauli_images_computed_once(self, k1, monkeypatch):
@@ -227,6 +228,6 @@ class TestVerifyStable:
     def test_report_protocol(self):
         report = verify_stable(stable_state(4))
         assert bool(report) is True
-        doc = report.document()
+        doc = document(report)
         assert doc["stable"] is True
         assert doc["orbit"]["dim_K_orbit"] == 12

@@ -13,6 +13,7 @@ from lupoly import (
     build_wall_operator,
     classify,
     complement_pair_state,
+    document,
     eigenspace_basis,
     membership,
     psi_map,
@@ -152,7 +153,9 @@ class TestWallState:
 
     def test_support_spans_low_eigenspace_kets(self):
         rng = np.random.default_rng(34)
-        alpha = random_wall_point(5, rng, distinguished=3)
+        lams = random_wall_point(5, rng).lambdas  # on the qubit-1 wall; swap it to qubit 3
+        alpha = SpectraPoint((lams[2], lams[1], lams[0], *lams[3:]))
+        assert classify(alpha).tight_walls == (3,)
         state = wall_state(alpha, np.zeros(5))
         support = set(np.flatnonzero(np.abs(state.amplitudes) > 1e-15))
         assert support == set(eigenspace_basis(5, 1, distinguished=3).kets)
@@ -210,7 +213,7 @@ class TestTorusCertificate:
         assert cert.matrix[2] == (1, -1, 1, -1)
 
     def test_document(self):
-        doc = torus_transitivity_check(3).document()
+        doc = document(torus_transitivity_check(3))
         assert doc == {
             "L": 3,
             "matrix": [[-1, -1, -1], [1, 1, -1], [1, -1, 1]],
@@ -268,8 +271,8 @@ class TestQubitIndexIsAnInteger:
 
     @pytest.mark.parametrize("bad", BAD, ids=repr)
     def test_random_wall_point(self, bad):
-        with pytest.raises(ValidationError, match="must be an integer"):
-            random_wall_point(3, np.random.default_rng(37), distinguished=bad)
+        with pytest.raises(ValidationError, match="qubit count must be an integer"):
+            random_wall_point(bad, np.random.default_rng(37))
 
     def test_numpy_integers_pass(self):
         d = np.int64(2)
@@ -278,7 +281,7 @@ class TestQubitIndexIsAnInteger:
         assert eigenspace_basis(3, 1, d) == eigenspace_basis(3, 1, 2)
         assert eigenspace_basis(3, d).kets == eigenspace_basis(3, 2).kets
         assert PureState.basis(3, np.int64(5)).amplitudes[5] == 1.0
-        alpha = random_wall_point(3, np.random.default_rng(38), distinguished=d)
-        assert classify(alpha).tight_walls == (2,)
+        alpha = random_wall_point(np.int64(3), np.random.default_rng(38))
+        assert classify(alpha).tight_walls == (1,)
         state = wall_state(alpha, np.zeros(3))
         assert np.allclose(psi_map(state).as_array(), alpha.as_array(), atol=1e-10)
