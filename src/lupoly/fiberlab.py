@@ -17,11 +17,14 @@ The descent works on a stack of states, shape (n, 2^L): ``numeric_dim``
 descends its n samples together, each row with its own damping and stop
 test, and ``sample_fiber`` is the one-row case.  A row whose attempt ends
 above FIBER_TOL restarts from a fresh Haar start after the stack, together
-with the other such rows.  The residual Jacobian and the dmu matrix both
-read ``qstate.pauli_images``.  Each sample is checked once, through
-``psi_map`` (a partial trace, not the Pauli images), against the target and
-the admissible region; the dmu ranks of a stack come from one SVD call, and
-the compact orbit columns are J dmu / 2, so no orbit SVD is taken.
+with the other such rows.  Haar starts are bare amplitude rows drawn as
+``haar_state`` draws them, with no PureState built.  The residual Jacobian
+and the dmu matrix both read ``qstate.pauli_images``.  Each stack of samples
+is checked with one call to ``qstate.psi_stack``, the stacked partial trace
+behind ``psi_map`` (not the Pauli images); each row's point must lie near the
+target and inside the admissible region.  The dmu ranks of a stack come from
+one SVD call, and the compact orbit columns are J dmu / 2, so no orbit SVD
+is taken.
 MAX_ITERS and MAX_RESTARTS bound every descent, every sample reaches the
 residual FIBER_TOL, and every rank cuts at ``stability.RANK_TOL``; no entry
 point takes any of them.
@@ -37,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError, ValidationError
 from .polytope import SpectraPoint, StratumClass, check_int, classify, membership
-from .qstate import PureState, haar_state, pauli_images, psi_map
+from .qstate import PureState, _haar_row, pauli_images, psi_stack
 from .stability import _rank_and_svals, _real_columns
 from .wall import wall_state
 
@@ -58,26 +61,30 @@ STACK_ENTRIES = 2**18
 MAX_SAMPLES = 512
 
 
-def _keep(zero_mask: np.ndarray) -> np.ndarray:
+def _keep(zero_mask: np.ndarray) -> np.ndarray | None:
     """Which of [lambda_l - t_l for every l] + [r_lk / 2 for every l, k] are residuals.
 
     Those of the nonzero-target qubits come first, then the three components
-    of each zero_mask qubit, each in qubit order.
+    of each zero_mask qubit, each in qubit order.  None when no qubit is in
+    zero_mask: then the residuals are the first L, in order.
     """
     mask = np.asarray(zero_mask, dtype=bool)
+    if not mask.any():
+        return None
     return np.flatnonzero(np.concatenate([~mask, np.repeat(mask, 3)]))
 
 
-def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray):
+def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray | None):
     """Residuals e of the spectra map and their tangent Jacobian rows g, per state.
 
     ``amps`` is one amplitude vector or a stack (..., 2^L); e has shape
-    (..., m) and g (..., m, 2^L) for the m residuals ``keep`` selects.  With
-    S the projected Pauli images of phi and z = <phi|sigma|phi> from
-    ``pauli_images``, the Bloch vectors are r = Re z and lambda = |r|/2.  A
-    nonzero target gives e_l = lambda_l - t_l with row g_l = rhat_l . S_l
-    (rhat = z where r = 0); a zero target gives the three components
-    r_l/2 with rows S_l, which are smooth through the spectral degeneracy.
+    (..., m) and g (..., m, 2^L) for the m residuals ``keep`` selects (see
+    ``_keep``).  With S the projected Pauli images of phi and
+    z = <phi|sigma|phi> from ``pauli_images``, the Bloch vectors are r = Re z
+    and lambda = |r|/2.  A nonzero target gives e_l = lambda_l - t_l with
+    row g_l = rhat_l . S_l (rhat = z where r = 0); a zero target gives the
+    three components r_l/2 with rows S_l, which are smooth through the
+    spectral degeneracy.
     Rows lie off phi, so a tangent step delta changes e_i by Re<g_i, delta>
     to first order; f = e.e is the objective.
     """
@@ -88,12 +95,14 @@ def _residuals_and_jacobian(amps: np.ndarray, L: int, target: np.ndarray, keep: 
     unit = r / np.where(norm > 0.0, norm, 1.0)[..., None]
     unit[..., 2] += norm == 0.0
     along = (unit[..., None, :] @ images.reshape(batch + (L, 3, -1)))[..., 0, :]
+    if keep is None:
+        return norm / 2.0 - target, along
     e = np.concatenate([norm / 2.0 - target, z.real / 2.0], axis=-1)[..., keep]
     rows = np.concatenate([along, images], axis=-2)[..., keep, :]
     return e, rows
 
 
-def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray, max_iters: int):
+def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray | None, max_iters: int):
     """Damped Gauss-Newton (Levenberg-Marquardt) on the spectra residuals of a stack of states.
 
     ``amps`` (n, 2^L) holds one start per row.  A step solves
@@ -114,12 +123,12 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray, max
     # per row of the stack: its input row and damping; every live row has taken `steps`
     live, mu, steps = list(range(n)), [1e-3] * n, 0
     e, g = _residuals_and_jacobian(amps, L, target, keep)
-    f = np.einsum("ij,ij->i", e, e)
-    eye = np.eye(e.shape[1])
+    f = (e * e).sum(axis=1)
+    m = e.shape[1]
     while live:
         gv = g.view(np.float64)  # A = Re(g conj(g)^T) is the real Gram matrix of the rows
         a = gv @ gv.swapaxes(1, 2)
-        fs, slopes = f.tolist(), np.einsum("ki,kij,kj->k", e, a, e).tolist()
+        fs, slopes = f.tolist(), ((a @ e[..., None])[..., 0] * e).sum(axis=1).tolist()
         # converged, stationary away from the fiber, no step lowers f, or out of steps
         stop = [fj <= tol2 or sj < 1e-32 or mj > 1e12 or steps == max_iters
                 for fj, sj, mj in zip(fs, slopes, mu)]
@@ -131,12 +140,13 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray, max
             live, mu = [live[j] for j in go], [mu[j] for j in go]
             amps, e, g, f = amps[go], e[go], g[go], f[go]
             continue  # the rows that go on take their step in the next pass
-        scale = np.trace(a, axis1=1, axis2=2) / eye.shape[0]
-        c = np.linalg.solve(a + (np.array(mu) * scale)[:, None, None] * eye, -e[..., None])
+        diag = a.reshape(len(a), -1)[:, ::m + 1]  # a view of each row's diagonal
+        diag += np.array(mu)[:, None] * (diag.sum(axis=1) / m)[:, None]
+        c = np.linalg.solve(a, -e[..., None])
         cand = amps + (c.swapaxes(1, 2) @ gv)[:, 0].view(np.complex128)
         cand /= np.linalg.norm(cand, axis=1, keepdims=True)
         e_cand, g_cand = _residuals_and_jacobian(cand, L, target, keep)
-        f_cand = np.einsum("ij,ij->i", e_cand, e_cand)
+        f_cand = (e_cand * e_cand).sum(axis=1)
         down = (f_cand < f).tolist()
         if all(down):
             amps, e, g, f = cand, e_cand, g_cand, f_cand
@@ -234,23 +244,24 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
     ``default_rng(seed)`` draws that row's exact or Haar start and then the
     Haar start of each restart, so a row's sample does not depend on the
     other rows.  After each attempt the rows still above FIBER_TOL restart
-    together; each row keeps its lowest attempt end.  Each sample's
-    ``psi_map`` point must lie within FIBER_TOL of the target and inside the
-    admissible region, or ConvergenceError names the test that failed.
+    together; each row keeps its lowest attempt end.  One ``psi_stack`` call
+    reads every sample's ``psi_map`` point, which must lie within FIBER_TOL of
+    the target and inside the admissible region, or ConvergenceError names the
+    test that failed.
     """
     L = target.num_qubits
     t_arr = target.as_array()
     keep = _keep([l in stratum.zero_qubits for l in range(1, L + 1)])
     rngs = [np.random.default_rng(seed) for seed in seeds]
     starts = [_exact_start(stratum, target, rng) for rng in rngs]
-    amps = np.array([haar_state(L, rng).amplitudes if start is None else start[0]
+    amps = np.array([_haar_row(L, rng) if start is None else start[0]
                      for start, rng in zip(starts, rngs)])
     n, tol2 = len(seeds), FIBER_TOL * FIBER_TOL
     f, iterations, restarts = [math.inf] * n, [0] * n, [0] * n
     rows, tries = list(range(n)), amps
     for attempt in range(MAX_RESTARTS + 1):
         if attempt:
-            tries = np.array([haar_state(L, rngs[i]).amplitudes for i in rows])
+            tries = np.array([_haar_row(L, rngs[i]) for i in rows])
         ends, end_f, steps = _descend(tries, L, t_arr, keep, MAX_ITERS)
         for i, end, fj, sj in zip(rows, ends, end_f, steps):
             iterations[i] += sj
@@ -260,11 +271,11 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
         rows = [i for i in rows if f[i] > tol2]
         if not rows:
             break
+    states = [PureState(L, row) for row in amps]
+    achieved = psi_stack(np.array([state.amplitudes for state in states]))  # one check per stack
+    residuals = np.linalg.norm(achieved - t_arr, axis=1).tolist()
     out = []
-    for i, seed in enumerate(seeds):
-        state = PureState(L, amps[i])
-        achieved = psi_map(state)
-        residual = float(np.linalg.norm(achieved.as_array() - t_arr))
+    for i, (seed, state, lams, residual) in enumerate(zip(seeds, states, achieved.tolist(), residuals)):
         if f[i] > tol2:
             raise ConvergenceError(
                 f"fiber sampling did not reach residual {FIBER_TOL:g} after {MAX_RESTARTS} "
@@ -275,7 +286,7 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
                 f"fiber sample failed re-verification: its psi_map point lies {residual:.3e} "
                 f"from the target, above FIBER_TOL = {FIBER_TOL:g}"
             )
-        if not membership(achieved).member:
+        if not membership(SpectraPoint(tuple(lams))).member:
             raise ConvergenceError(
                 "fiber sample failed re-verification: its psi_map point lies outside the "
                 "admissible region"

@@ -14,9 +14,10 @@ for qubits 1..L, so row i is inequality ``KINDS[i // L]`` of qubit
 ``i % L + 1``.  Membership, strata, facets, the vertex oracle's rows and
 the wall checks of ``wall.wall_state`` are all read off these slacks.
 
-All constraint arithmetic goes through Fraction constants, so points
-with exact rational coordinates are classified exactly; float
-coordinates fall back to a tolerance.
+All constraint arithmetic on exact or mixed points goes through
+Fraction constants, so points with exact rational coordinates are
+classified exactly; float coordinates take the float 1/2, which rounds
+the same, and fall back to a tolerance.
 
 This module is the numpy-free base layer.  It also holds the point type
 ``SpectraPoint``, ``read_json``, ``document`` (the one rule that turns a
@@ -184,9 +185,12 @@ def slacks(lams) -> tuple:
 
     Rows 0..L-1 are lambda_l, rows L..2L-1 are 1/2 - lambda_l, and rows
     2L..3L-1 are the wall slacks (L - 2)/2 - sum_j lambda_j + 2 lambda_l.
+    A point of floats takes the float 1/2, which gives the same floats as
+    the Fraction constant without its operator dispatch.
     """
-    base = HALF * (len(lams) - 2) - sum(lams)
-    return (*lams, *(HALF - lam for lam in lams), *(base + 2 * lam for lam in lams))
+    half = 0.5 if all(type(lam) is float for lam in lams) else HALF
+    base = half * (len(lams) - 2) - sum(lams)
+    return (*lams, *(half - lam for lam in lams), *(base + 2 * lam for lam in lams))
 
 
 @dataclass(frozen=True)

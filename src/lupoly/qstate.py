@@ -118,59 +118,77 @@ class PureState:
         return self.amplitudes.size
 
 
-def _check_density_blocks(blocks: np.ndarray) -> list[float]:
-    """Check a stack (L, 2, 2) of one-qubit density matrices; returns the r of each.
+def _check_density_blocks(blocks: np.ndarray) -> np.ndarray:
+    """Check a stack (..., 2, 2) of one-qubit density matrices; returns the r of each, shape (...).
 
     Each block must be Hermitian, of trace 1, and have both eigenvalues
-    1/2 -+ r in [0, 1], all within MATRIX_TOL.  The stack is read once as
-    Python numbers, which for L <= MAX_QUBITS beats array operations.
+    1/2 -+ r in [0, 1], all within MATRIX_TOL; a NaN entry fails the first
+    test it reaches.  Each test runs once over the whole stack.
     """
-    radii = []
-    for (a, b), (c, d) in blocks.tolist():
-        if max(2.0 * abs(a.imag), 2.0 * abs(d.imag), abs(b - c.conjugate())) > MATRIX_TOL:
-            raise ValidationError("reduced matrix is not Hermitian within tolerance")
-        if abs(a.real + d.real - 1.0) > MATRIX_TOL:
-            raise ValidationError("reduced matrix trace differs from 1")
-        r = math.hypot((a.real - d.real) / 2.0, abs(b))
-        if 0.5 - r < -MATRIX_TOL or 0.5 + r > 1.0 + MATRIX_TOL:
-            raise ValidationError("reduced matrix has an eigenvalue outside [0, 1]")
-        radii.append(r)
-    return radii
+    a, b, c, d = blocks[..., 0, 0], blocks[..., 0, 1], blocks[..., 1, 0], blocks[..., 1, 1]
+    skew = np.maximum(np.maximum(2.0 * abs(a.imag), 2.0 * abs(d.imag)), abs(b - c.conj()))
+    if not (skew <= MATRIX_TOL).all():
+        raise ValidationError("reduced matrix is not Hermitian within tolerance")
+    if not (abs(a.real + d.real - 1.0) <= MATRIX_TOL).all():
+        raise ValidationError("reduced matrix trace differs from 1")
+    r = np.hypot((a.real - d.real) / 2.0, abs(b))
+    if not ((0.5 - r >= -MATRIX_TOL) & (0.5 + r <= 1.0 + MATRIX_TOL)).all():
+        raise ValidationError("reduced matrix has an eigenvalue outside [0, 1]")
+    return r
 
 
-def _marginal(amps: np.ndarray, num_qubits: int, l: int, out: np.ndarray | None = None):
-    """Unchecked partial trace onto slot l (1-based): X X^H with X the (2, 2^{L-1}) slot-l rows."""
-    x = amps.reshape(2 ** (l - 1), 2, 2 ** (num_qubits - l)).swapaxes(0, 1).reshape(2, -1)
-    return np.matmul(x, x.conj().T, out=out)
+@functools.lru_cache(maxsize=MAX_QUBITS)
+def _slot_rows(num_qubits: int) -> np.ndarray:
+    """Gather index, shape (L, 2, 2^{L-1}): entry l-1 lists row b the indices whose slot-l bit is b.
+
+    The columns keep the order of the other bits, so the partial trace onto
+    slot l is X X^H for X = amps[entry l-1].  The array is read-only.
+    """
+    index = np.arange(2**num_qubits)
+    rows = np.stack([index.reshape(2 ** (l - 1), 2, -1).swapaxes(0, 1).reshape(2, -1)
+                     for l in range(1, num_qubits + 1)])
+    rows.flags.writeable = False
+    return rows
 
 
-def _marginals(state: PureState) -> tuple[np.ndarray, list[float]]:
-    """All L one-qubit reductions, shape (L, 2, 2), checked at once; and the r of each."""
-    L = state.num_qubits
-    blocks = np.empty((L, 2, 2), dtype=np.complex128)
-    for l in range(1, L + 1):
-        _marginal(state.amplitudes, L, l, out=blocks[l - 1])
+def _marginals(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The package's one partial trace: every one-qubit reduction of amplitudes (..., 2^L).
+
+    Returns the reductions, shape (..., L, 2, 2), checked at once, and the r
+    of each, shape (..., L).  One gather and one matmul serve the whole stack.
+    """
+    x = np.take(amps, _slot_rows(_num_qubits_for(amps.shape[-1])), axis=-1)
+    blocks = x @ x.conj().swapaxes(-1, -2)
     return blocks, _check_density_blocks(blocks)
 
 
 def reduce_one_qubit(state: PureState, l: int) -> np.ndarray:
     """Read-only (2, 2) partial trace onto qubit l (1-based), discarding all other qubits."""
     check_qubit_index(l, state.num_qubits, "qubit index")
-    rho = _marginal(state.amplitudes, state.num_qubits, l)
+    x = state.amplitudes[_slot_rows(state.num_qubits)[l - 1]]
+    rho = x @ x.conj().T
     rho.flags.writeable = False
     return rho
 
 
 def momentum_map(state: PureState) -> np.ndarray:
     """Read-only (L, 2, 2) array whose entry l-1 is the traceless Hermitian block rho_l - I/2."""
-    mu = _marginals(state)[0] - np.eye(2) / 2.0
+    mu = _marginals(state.amplitudes)[0] - np.eye(2) / 2.0
     mu.flags.writeable = False
     return mu
 
 
+def psi_stack(amps: np.ndarray) -> np.ndarray:
+    """``psi_map`` of each row of a stack (..., 2^L) of unit amplitude vectors, shape (..., L).
+
+    Every reduction is checked as in ``psi_map``, in one pass over the stack.
+    """
+    return np.clip(0.5 - (0.5 - _marginals(amps)[1]), 0.0, 0.5)
+
+
 def psi_map(state: PureState) -> SpectraPoint:
     """Shifted spectra lambda_l = 1/2 - min eig(rho_l), clamped to [0, 1/2]."""
-    return SpectraPoint(tuple(min(max(0.5 - (0.5 - r), 0.0), 0.5) for r in _marginals(state)[1]))
+    return SpectraPoint(tuple(psi_stack(state.amplitudes).tolist()))
 
 
 def purity_invariants(state: PureState) -> np.ndarray:
@@ -179,7 +197,7 @@ def purity_invariants(state: PureState) -> np.ndarray:
     Satisfies tr rho_l^2 = 1/2 + 2 lambda_l^2, which ties the quadratic
     invariants to the spectra coordinates.
     """
-    return (np.abs(_marginals(state)[0]) ** 2).sum(axis=(1, 2))
+    return (np.abs(_marginals(state.amplitudes)[0]) ** 2).sum(axis=(1, 2))
 
 
 def _check_special_unitary(g: np.ndarray) -> None:
@@ -227,7 +245,7 @@ def pauli_images(amps: np.ndarray, num_qubits: int) -> tuple[np.ndarray, np.ndar
     Each image is one gather and one multiply by a cached table.
     """
     gather, factor = _pauli_tables(num_qubits)
-    images = amps[..., gather] * factor
+    images = np.take(amps, gather, axis=-1) * factor
     z = (images @ amps.conj()[..., None])[..., 0]
     images -= z[..., None] * amps[..., None, :]
     return images, z
@@ -247,11 +265,15 @@ def apply_local_unitary(state: PureState, g: Sequence[np.ndarray]) -> PureState:
     return PureState(L, amps)
 
 
+def _haar_row(num_qubits: int, rng: np.random.Generator) -> np.ndarray:
+    """Unit amplitude vector of a Haar-random state, unchecked: the draws ``haar_state`` makes."""
+    z = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
+    return z / np.linalg.norm(z)
+
+
 def haar_state(num_qubits: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state drawn from an existing generator."""
-    check_qubit_count(num_qubits, 1, "haar_state")
-    z = rng.normal(size=2**num_qubits) + 1j * rng.normal(size=2**num_qubits)
-    return PureState(num_qubits, z / np.linalg.norm(z))
+    return PureState(num_qubits, _haar_row(check_qubit_count(num_qubits, 1, "haar_state"), rng))
 
 
 def random_su2(rng: np.random.Generator) -> np.ndarray:

@@ -123,7 +123,7 @@ def refuse_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    for name in ("_exact_start", "haar_state", "_descend"):
+    for name in ("_exact_start", "_haar_row", "_descend"):
         monkeypatch.setattr(fiberlab, name, no_sampling)
 
 
@@ -365,12 +365,50 @@ class TestSampleFiber:
 
     @pytest.mark.parametrize("sampler", (sample_fiber, numeric_dim), ids=("sample", "numeric"))
     def test_sample_off_the_target_fails_its_check(self, sampler, monkeypatch):
-        # psi_map read 1e-9 off the converged sample, which stays inside the region
-        psi = fiberlab.psi_map
-        monkeypatch.setattr(fiberlab, "psi_map",
-                            lambda state: SpectraPoint(tuple(x + 1e-9 for x in psi(state).lambdas)))
+        # the stacked check read 1e-9 off the converged samples, which stay inside the region
+        psi = fiberlab.psi_stack
+        monkeypatch.setattr(fiberlab, "psi_stack", lambda amps: psi(amps) + 1e-9)
         with pytest.raises(ConvergenceError, match=r"lies 1\.7\d+e-09 from the target, above"):
             sampler(INTERIOR3)
+
+    def test_one_failing_row_of_a_stack_fails_the_call(self, monkeypatch):
+        # numeric_dim checks its three samples in one call; only row 1 reads off the target
+        psi, calls = fiberlab.psi_stack, []
+
+        def row_1_off(amps):
+            calls.append(amps.shape)
+            return psi(amps) + np.array([[0.0], [1e-9], [0.0]])
+
+        monkeypatch.setattr(fiberlab, "psi_stack", row_1_off)
+        with pytest.raises(ConvergenceError, match=r"lies 1\.7\d+e-09 from the target, above"):
+            numeric_dim(INTERIOR3, n_samples=3)
+        assert calls == [(3, 8)]
+
+    def test_one_unconverged_row_of_a_stack_restarts_alone(self, monkeypatch):
+        # rows 0 and 2 start on the fiber; with no steps allowed only row 1 restarts, and fails
+        on_fiber = [sample_fiber(INTERIOR3, seed=seed).state.amplitudes for seed in (0, 2)]
+        rng = np.random.default_rng(0)
+        starts = [on_fiber[0], haar_state(3, rng).amplitudes, on_fiber[1]]
+        attempts = iter(starts + [haar_state(3, rng).amplitudes for _ in range(2)])
+        monkeypatch.setattr(fiberlab, "_haar_row", lambda L, rng: next(attempts))
+        monkeypatch.setattr(fiberlab, "MAX_RESTARTS", 2)
+        monkeypatch.setattr(fiberlab, "MAX_ITERS", 0)
+        with pytest.raises(ConvergenceError, match="did not reach residual"):
+            numeric_dim(INTERIOR3, n_samples=3)
+        assert next(attempts, None) is None
+
+    def test_one_row_outside_the_region_fails_the_call(self, monkeypatch):
+        outside = membership(SpectraPoint((0.4, 0.0, 0.3)))
+        points = []
+
+        def row_1_outside(point):
+            points.append(point)
+            return outside if len(points) == 2 else membership(point)
+
+        monkeypatch.setattr(fiberlab, "membership", row_1_outside)
+        with pytest.raises(ConvergenceError, match="outside the admissible region$"):
+            numeric_dim(INTERIOR3, n_samples=3)
+        assert len(points) == 2 and membership(points[1]).member
 
     def test_gives_up_honestly(self, monkeypatch):
         monkeypatch.setattr(fiberlab, "MAX_ITERS", 1)
@@ -390,8 +428,8 @@ class TestSampleFiber:
         staged = sorted((haar_state(3, rng) for _ in range(3)), key=residual)
         staged = [staged[1], staged[0], staged[2]]
         residuals = [f"{residual(s):.3e}" for s in staged]
-        attempts = iter(staged)
-        monkeypatch.setattr(fiberlab, "haar_state", lambda L, rng: next(attempts))
+        attempts = iter(s.amplitudes for s in staged)
+        monkeypatch.setattr(fiberlab, "_haar_row", lambda L, rng: next(attempts))
         monkeypatch.setattr(fiberlab, "MAX_RESTARTS", 2)
         monkeypatch.setattr(fiberlab, "MAX_ITERS", 0)
         with pytest.raises(ConvergenceError) as exc:

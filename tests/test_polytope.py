@@ -98,6 +98,23 @@ class TestSlacks:
         got = slacks(tuple(lams))
         assert [float(s).hex() for s in got] == [float(s).hex() for s in reference_slacks(tuple(lams))]
 
+    @pytest.mark.parametrize("num_qubits", range(1, 13))
+    def test_float_points_take_the_float_half_bit_for_bit(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        points = [tuple(rng.uniform(-0.1, 0.6, size=num_qubits).tolist()) for _ in range(20)]
+        points += [(0.0,) * num_qubits, (0.5,) * num_qubits, (1e-300, 0.5 - 2**-53) * num_qubits]
+        for lams in points:
+            lams = lams[:num_qubits]
+            got, want = slacks(lams), reference_slacks(lams)
+            assert all(type(s) is float for s in got)
+            assert [s.hex() for s in got] == [float(s).hex() for s in want]
+
+    def test_mixed_points_keep_the_fraction_constant(self):
+        for lams in ((Fraction(1, 10), 0.2, 0.15), (0.1, np.float64(0.2), 0.15), (0, 0.25, 0.3)):
+            got, want = slacks(lams), reference_slacks(lams)
+            assert [type(s) for s in got] == [type(s) for s in want]
+            assert list(got) == want
+
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(-0.3, 0.8, allow_nan=False), min_size=1, max_size=12))
     def test_membership_lists_violations_in_row_order(self, lams):

@@ -24,6 +24,8 @@ from lupoly import (
     state_document,
     state_from_document,
 )
+from lupoly import qstate
+from lupoly.qstate import _marginals, psi_stack
 
 
 def loop_partial_trace(amps, num_qubits, keep):
@@ -81,6 +83,56 @@ class TestReductions:
             rho = reduce_one_qubit(W3, l)
             assert np.allclose(mu[l - 1], rho - np.eye(2) / 2, atol=1e-15)
             assert abs(np.trace(mu[l - 1])) < 1e-14
+
+
+def tensordot_partial_trace(amps, num_qubits, keep):
+    """Partial trace by contracting every other tensor axis; independent of the library path."""
+    t = amps.reshape((2,) * num_qubits)
+    axes = tuple(i for i in range(num_qubits) if i != keep - 1)
+    return np.tensordot(t, t.conj(), axes=(axes, axes))
+
+
+class TestStackedMarginals:
+    @pytest.mark.parametrize("num_qubits", range(1, 9))
+    def test_rows_match_the_one_state_functions(self, num_qubits):
+        rng = np.random.default_rng(num_qubits)
+        states = [haar_state(num_qubits, rng) for _ in range(3)]
+        stack = np.array([s.amplitudes for s in states])
+        blocks = _marginals(stack)[0]
+        spectra = psi_stack(stack)
+        assert blocks.shape == (3, num_qubits, 2, 2) and spectra.shape == (3, num_qubits)
+        for state, row_blocks, row_spectra in zip(states, blocks, spectra):
+            assert np.abs(row_spectra - psi_map(state).as_array()).max() <= 1e-15
+            for l in range(1, num_qubits + 1):
+                rho = reduce_one_qubit(state, l)
+                assert np.abs(row_blocks[l - 1] - rho).max() <= 1e-15
+                ref = tensordot_partial_trace(state.amplitudes, num_qubits, l)
+                assert np.abs(rho - ref).max() <= 1e-15
+
+    def test_one_vector_is_the_one_row_case(self):
+        assert psi_stack(W3.amplitudes).tolist() == list(psi_map(W3).lambdas)
+        assert psi_stack(W3.amplitudes[None]).shape == (1, 3)
+
+    @pytest.mark.parametrize("bad, message", [
+        (np.nan, "reduced matrix is not Hermitian within tolerance"),
+        (2.0, "reduced matrix trace differs from 1"),  # the row's norm is 2
+    ], ids=("nan", "unnormalized"))
+    def test_one_bad_row_fails_the_stack(self, bad, message):
+        stack = np.array([s.amplitudes for s in (W3, GHZ3, W3)])
+        stack[1] = stack[1] * bad
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            psi_stack(stack)
+        psi_stack(stack[::2])  # the other rows pass
+
+    def test_eigenvalue_check(self):
+        # Hermitian and of trace 1, but the eigenvalues are 1/2 -+ 0.6
+        blocks = np.array([[[0.5, 0.6], [0.6, 0.5]]], dtype=np.complex128)
+        with pytest.raises(ValidationError, match="eigenvalue outside"):
+            qstate._check_density_blocks(blocks)
+
+    def test_rejects_an_amplitude_count_off_a_power_of_two(self):
+        with pytest.raises(ValidationError, match="is not 2\\*\\*L"):
+            psi_stack(np.ones((2, 6)) / math.sqrt(6))
 
 
 class TestSpectraAndPurity:
