@@ -18,6 +18,7 @@ import numpy as np
 from .dimension import dim_for_point
 from .fiberlab import MAX_SAMPLES, numeric_dim, rank_dmu
 from .polytope import (
+    MAX_ORACLE_QUBITS,
     MAX_QUBITS,
     SpectraPoint,
     check_int,
@@ -80,12 +81,6 @@ def _dim_is(point: SpectraPoint, want: int) -> None:
     _expect(dim_for_point(point)[1].dim_M, want, "closed-form dim_M", point=point.lambdas)
 
 
-def check_vertex_oracle(L: int) -> None:
-    """The closed-form vertex list agrees with exact brute-force enumeration."""
-    agree = vertices(L).coordinate_set() == vertices_oracle(L).coordinate_set()
-    _check(agree, "closed-form vertices differ from the oracle", L=L)
-
-
 def _three_qubit_dims(samples: int, seed: int) -> str:
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -120,14 +115,16 @@ def _four_qubit_table(samples: int, seed: int) -> str:
 def _polytope_combinatorics(samples: int, seed: int) -> str:
     for L in range(2, 13):
         _expect(len(vertices(L).vertices), 2**L - L, "vertex count", L=L)
-    for L in range(2, 5):
-        check_vertex_oracle(L)
+    for L in range(2, MAX_ORACLE_QUBITS + 1):
+        agree = vertices(L).coordinate_set() == vertices_oracle(L).coordinate_set()
+        _check(agree, "closed-form vertices differ from the oracle", L=L)
     got = {v.label: v.point.lambdas for v in vertices(4).vertices}
     want = {k: tuple(Fraction(int(c), 2) for c in v) for k, v in FOUR_QUBIT_VERTICES.items()}
     _expect(got, want, "four-qubit vertex table")
     for L in range(4, 9):
         _expect(len(facets(L)), 3 * L, "facet count", L=L)
-    return "vertex counts 2^L-L for L=2..12, oracle L=2..4, four-qubit labels, facets 3L, L=4..8"
+    return (f"vertex counts 2^L-L for L=2..12, oracle L=2..{MAX_ORACLE_QUBITS}, four-qubit labels,"
+            " facets 3L, L=4..8")
 
 
 def _wall_spectrum(samples: int, seed: int) -> str:

@@ -9,12 +9,9 @@ import time
 from lupoly import criteria
 
 
-def gate(capsys, cid, samples, seed, pytest_only=None):
-    """Run criterion ``cid``, plus any pytest-only part, within its time budget."""
+def gate(capsys, cid, samples, seed):
+    """Run criterion ``cid`` within its time budget."""
     crit = criteria.CRITERIA[cid - 1]
-    if pytest_only is not None:
-        shared = crit.check
-        crit = crit._replace(check=lambda n, s: f"{shared(n, s)}; {pytest_only()}")
     start = time.perf_counter()
     entry = criteria.run(crit, samples, seed)
     elapsed = time.perf_counter() - start
@@ -37,13 +34,7 @@ def test_criterion_2_four_qubit_table(capsys):
 
 
 def test_criterion_3_polytope_combinatorics(capsys):
-    def oracle_sweep():
-        # pytest-only until the vertex oracle is fast enough for the selftest
-        for L in (5, 6):
-            criteria.check_vertex_oracle(L)
-        return "oracle L=5,6"
-
-    gate(capsys, 3, samples=1, seed=103, pytest_only=oracle_sweep)
+    gate(capsys, 3, samples=1, seed=103)
 
 
 def test_criterion_4_wall_operator_spectrum(capsys):

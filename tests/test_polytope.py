@@ -150,8 +150,11 @@ class TestSlacks:
                 assert table[i] == (list(row), b)
         assert sorted(table) == list(range(3 * L))
         for i, (row, b) in table.items():
+            # rows are passed doubled, so every coefficient and constant is an integer
+            assert all(type(x) is int for x in (*row, b))
             ref_row, ref_b = reference_equality_row(L, KINDS[i // L], i % L + 1)
-            assert (row, b) in ((ref_row, ref_b), ([-a for a in ref_row], -ref_b))
+            sign = 1 if row == [2 * a for a in ref_row] else -1
+            assert (row, b) == ([2 * sign * a for a in ref_row], 2 * sign * ref_b)
 
 
 class TestMembership:
@@ -332,7 +335,9 @@ def affine_rank_facets(L):
         if len(incident) < L:
             continue
         base = incident[0].point.lambdas
-        diffs = [[a - b for a, b in zip(v.point.lambdas, base)] for v in incident[1:]]
+        # doubled, differences of 0 and 1/2 coordinates are integers
+        diffs = [[int(2 * (a - b)) for a, b in zip(v.point.lambdas, base)]
+                 for v in incident[1:]]
         if exact_rank(diffs) == L - 1:
             out.append((KINDS[row // L], row % L + 1, tuple(v.label for v in incident)))
     return out
