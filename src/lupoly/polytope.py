@@ -15,9 +15,15 @@ for qubits 1..L, so row i is inequality ``KINDS[i // L]`` of qubit
 the wall checks of ``wall.wall_state`` are all read off these slacks.
 
 All constraint arithmetic on exact or mixed points goes through
-Fraction constants, so points with exact rational coordinates are
-classified exactly; float coordinates take the float 1/2, which rounds
-the same, and fall back to a tolerance.
+Fraction constants; float coordinates take the float 1/2, which rounds
+the same.  For an exact point ``membership`` and ``classify`` turn the
+slack tolerance into one exact cut, Fraction(tol), and every slack, zero
+and 1/2 test compares against it, so exact points are classified exactly
+at any tolerance; float and mixed points compare against the float.
+A point keeps its slacks once ``membership`` has computed them, so
+``classify`` reads membership and, when no coordinate is stripped at 1/2,
+the tight walls off one ``slacks`` pass; only a stripped residual system
+gets a pass of its own.
 
 This module is the numpy-free base layer.  It also holds the point type
 ``SpectraPoint``, ``read_json``, ``document`` (the one rule that turns a
@@ -121,10 +127,13 @@ class SpectraPoint:
         lams = tuple(self.lambdas)
         if not lams:
             raise ValidationError("a spectra point needs at least one coordinate")
+        exact = True
         for x in lams:  # rationals stay exact; floats, bools and anything else are checked
             if isinstance(x, (float, bool)) or not isinstance(x, Rational):
                 check_real(x, "spectra coordinate", -math.inf)
+                exact = False
         object.__setattr__(self, "lambdas", lams)
+        object.__setattr__(self, "_exact", exact)
 
     @property
     def num_qubits(self) -> int:
@@ -133,7 +142,7 @@ class SpectraPoint:
     @property
     def is_exact(self) -> bool:
         """True when every coordinate is rational and comparisons are exact."""
-        return all(isinstance(x, Rational) for x in self.lambdas)
+        return self._exact
 
     def as_array(self) -> "numpy.ndarray":
         import numpy as np
@@ -185,10 +194,10 @@ def slacks(lams) -> tuple:
 
     Rows 0..L-1 are lambda_l, rows L..2L-1 are 1/2 - lambda_l, and rows
     2L..3L-1 are the wall slacks (L - 2)/2 - sum_j lambda_j + 2 lambda_l.
-    A point of floats takes the float 1/2, which gives the same floats as
-    the Fraction constant without its operator dispatch.
+    A point of floats (numpy floats too) takes the float 1/2, which gives
+    the same floats as the Fraction constant without its operator dispatch.
     """
-    half = 0.5 if all(type(lam) is float for lam in lams) else HALF
+    half = 0.5 if all(isinstance(lam, float) for lam in lams) else HALF
     base = half * (len(lams) - 2) - sum(lams)
     return (*lams, *(half - lam for lam in lams), *(base + 2 * lam for lam in lams))
 
@@ -223,14 +232,28 @@ def slack_tol(point: SpectraPoint, tol: float | None = None) -> float:
     return check_real(tol, "slack tolerance", 0.0)
 
 
+def _point_slacks(point: SpectraPoint) -> tuple:
+    """``slacks(point.lambdas)``, computed once per point and kept on it."""
+    row = point.__dict__.get("_slacks")
+    if row is None:
+        row = slacks(point.lambdas)
+        object.__setattr__(point, "_slacks", row)
+    return row
+
+
+def _cut(point: SpectraPoint, tol: float):
+    """The checked tolerance as compared: exactly, as Fraction(tol), for exact points."""
+    return Fraction(tol) if point.is_exact else tol
+
+
 def membership(point: SpectraPoint, tol: float | None = None) -> MembershipResult:
     """Check the 3L inequalities; slacks below -tol (default ``slack_tol``) are violations."""
-    tol = slack_tol(point, tol)
+    cut = _cut(point, slack_tol(point, tol))
     L = check_qubit_count(point.num_qubits, 1, "membership")
     bad = tuple(
         (Inequality(KINDS[i // L], i % L + 1), float(s))
-        for i, s in enumerate(slacks(point.lambdas))
-        if s < -tol
+        for i, s in enumerate(_point_slacks(point))
+        if s < -cut
     )
     return MembershipResult(member=not bad, violations=bad)
 
@@ -283,11 +306,12 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
             f"point is outside the admissible region (worst slack {worst:.3e}); "
             + "; ".join(f"violated: {q.equality.replace(' = ', ' vs ')}" for q, _ in res.violations)
         )
+    cut = _cut(point, tol)
     lams = point.lambdas
     L = point.num_qubits
     trail = [f"membership verified (tol={tol:g})"]
 
-    half = tuple(l for l in range(1, L + 1) if lams[l - 1] >= HALF - tol)
+    half = tuple(l for l in range(1, L + 1) if lams[l - 1] >= HALF - cut)
     residual = tuple(l for l in range(1, L + 1) if l not in half)
     res_L = len(residual)
     if half:
@@ -299,12 +323,13 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
     if degenerate:
         trail.append("residual system is degenerate (fewer than 3 qubits); wall detection skipped")
     else:
-        res_lams = tuple(lams[l - 1] for l in residual)
-        walls = slacks(res_lams)[2 * res_L:]
-        tight = tuple(q for q, s in zip(residual, walls) if abs(s) <= tol)
+        # with nothing stripped the residual system is the whole one, whose slacks
+        # membership has just computed
+        walls = slacks(tuple(lams[l - 1] for l in residual)) if half else _point_slacks(point)
+        tight = tuple(q for q, s in zip(residual, walls[2 * res_L:]) if abs(s) <= cut)
         trail.append(f"tight walls at qubits {tight}" if tight else "no tight walls")
 
-    zeros = tuple(l for l in residual if lams[l - 1] <= tol)
+    zeros = tuple(l for l in residual if lams[l - 1] <= cut)
     trail.append(f"zero coordinates at qubits {zeros}" if zeros else "no zero coordinates")
 
     return StratumClass(

@@ -407,6 +407,11 @@ class TestInputRouting:
         assert doc["exact"] is True and doc["tol"] == 0.0
         assert doc["tight_walls"] == [1]
 
+    def test_fraction_tokens_meet_the_tolerance_exactly_at_one_half(self, capsys):
+        code, doc, _ = run(capsys, "classify", "--lambda", "9/20,1/5,1/5", "--tol", "0.05")
+        assert code == 0
+        assert doc["half_qubits"] == [1] and doc["residual_qubits"] == [2, 3]
+
     def test_float_tokens_need_tolerance(self, capsys):
         lams = "0.1666667,0.3333333,0.3333333"
         _, strict, _ = run(capsys, "classify", "--lambda", lams)

@@ -99,18 +99,24 @@ class TestSlacks:
         assert [float(s).hex() for s in got] == [float(s).hex() for s in reference_slacks(tuple(lams))]
 
     @pytest.mark.parametrize("num_qubits", range(1, 13))
-    def test_float_points_take_the_float_half_bit_for_bit(self, num_qubits):
+    def test_float_points_take_the_float_half_bit_for_bit(self, num_qubits, monkeypatch):
         rng = np.random.default_rng(num_qubits)
         points = [tuple(rng.uniform(-0.1, 0.6, size=num_qubits).tolist()) for _ in range(20)]
         points += [(0.0,) * num_qubits, (0.5,) * num_qubits, (1e-300, 0.5 - 2**-53) * num_qubits]
-        for lams in points:
-            lams = lams[:num_qubits]
-            got, want = slacks(lams), reference_slacks(lams)
-            assert all(type(s) is float for s in got)
+        points = [lams[:num_qubits] for lams in points]
+        # numpy floats, as inputs.wall_point gives lambda_1, alone and throughout
+        points += [(np.float64(lams[0]), *lams[1:]) for lams in points]
+        points += [tuple(map(np.float64, lams)) for lams in points[:20]]
+        wants = [reference_slacks(lams) for lams in points]
+        monkeypatch.setattr(polytope, "HALF", None)  # any use of the Fraction constant raises
+        for lams, want in zip(points, wants):
+            got = slacks(lams)
+            assert all(isinstance(s, float) for s in got)
+            assert [type(s) for s in got] == [type(s) for s in want]
             assert [s.hex() for s in got] == [float(s).hex() for s in want]
 
     def test_mixed_points_keep_the_fraction_constant(self):
-        for lams in ((Fraction(1, 10), 0.2, 0.15), (0.1, np.float64(0.2), 0.15), (0, 0.25, 0.3)):
+        for lams in ((Fraction(1, 10), 0.2, 0.15), (Fraction(1, 10), np.float64(0.2)), (0, 0.25, 0.3)):
             got, want = slacks(lams), reference_slacks(lams)
             assert [type(s) for s in got] == [type(s) for s in want]
             assert list(got) == want
@@ -264,6 +270,68 @@ class TestClassify:
     def test_nonmember_raises_with_violations(self):
         with pytest.raises(ValidationError, match="outside"):
             classify(SpectraPoint((0.4, 0.0, 0.3)))
+
+    def test_exact_coordinate_tol_from_zero_is_zero(self):
+        stratum = classify(SpectraPoint.exact(["1/20", "1/5", "1/5"]), tol=0.05)
+        assert stratum.zero_qubits == (1,)
+
+    def test_exact_coordinate_tol_from_one_half_is_stripped(self):
+        # the mirror of the zero case: 1/2 - 9/20 = 1/20 <= Fraction(0.05), compared exactly
+        stratum = classify(SpectraPoint.exact(["9/20", "1/5", "1/5"]), tol=0.05)
+        assert stratum.half_qubits == (1,)
+        assert stratum.residual_qubits == (2, 3) and stratum.degenerate
+
+    @pytest.mark.parametrize("tol", [0, 1e-9, 0.01, 0.05])
+    def test_exact_points_match_fraction_decisions(self, tol):
+        rng = np.random.default_rng([23, round(tol * 1e9)])
+        cut = Fraction(tol)
+        points = []
+        while len(points) < 300:
+            L = int(rng.integers(1, 9))
+            lams = [Fraction(int(rng.integers(0, 121)), 120) for _ in range(L)]
+            edge = int(rng.integers(0, 4))  # random, tol from 0, tol from 1/2, tol from a wall
+            l = int(rng.integers(0, L))
+            if edge == 1:
+                lams[l] = cut
+            elif edge == 2:
+                lams[l] = HALF - cut
+            elif edge == 3:  # wall slack of qubit l + 1 at exactly +-tol
+                lams[l] = 0
+                lams[l] = int(rng.choice([-1, 1])) * cut - reference_slack("wall", l + 1, tuple(lams))
+            if all(s >= -cut for s in reference_slacks(tuple(lams))):
+                points.append(tuple(lams))
+        for lams in points:
+            L = len(lams)
+            half = tuple(l for l in range(1, L + 1) if HALF - lams[l - 1] <= cut)
+            residual = tuple(l for l in range(1, L + 1) if l not in half)
+            res_lams = tuple(lams[l - 1] for l in residual)
+            tight = () if len(residual) <= 2 else tuple(
+                q for i, q in enumerate(residual, 1)
+                if abs(reference_slack("wall", i, res_lams)) <= cut
+            )
+            zeros = tuple(l for l in residual if lams[l - 1] <= cut)
+            stratum = classify(SpectraPoint(lams), tol=tol)
+            assert (stratum.half_qubits, stratum.zero_qubits, stratum.tight_walls) == (
+                half, zeros, tight), lams
+
+    def test_one_slack_pass_unless_a_coordinate_is_stripped(self, monkeypatch):
+        calls = []
+        counted = polytope.slacks
+
+        def counting(lams):
+            calls.append(lams)
+            return counted(lams)
+
+        monkeypatch.setattr(polytope, "slacks", counting)
+        for lams, n_calls in (
+            (("1/6", "1/3", "1/3"), 1),
+            (("0", "1/10", "1/5", "3/20"), 1),
+            (("1/2", "1/6", "1/3", "1/3"), 2),
+            (("1/2", "1/2", "1/10", "1/5", "3/20"), 2),
+        ):
+            calls.clear()
+            classify(SpectraPoint.exact(lams))
+            assert len(calls) == n_calls, lams
 
     def test_trail_is_readable(self):
         stratum = classify(SpectraPoint((0.1, 0.2, 0.15)))
