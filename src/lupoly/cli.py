@@ -34,7 +34,7 @@ from fractions import Fraction
 from .dimension import dim_for_point
 from .errors import InternalInvariantError, NumericalError, ValidationError
 from .polytope import (
-    SpectraPoint, classify, document, facets, read_json, vertices, vertices_oracle,
+    SpectraPoint, _facets_and_vertices, classify, document, read_json, vertices, vertices_oracle,
 )
 from .wall import build_wall_operator, eigenspace_basis, torus_transitivity_check
 
@@ -123,9 +123,9 @@ def _resolve_point(args) -> SpectraPoint:
     return qstate.psi_map(state)
 
 
-def _stratum_document(stratum) -> dict:
+def _stratum_document(stratum, point) -> dict:
     # classify raises on a non-member
-    return {"member": True, **document(stratum), "exact": stratum.tol == 0.0}
+    return {"member": True, **document(stratum), "exact": point.is_exact}
 
 
 def _vertex_document(vertex) -> dict:
@@ -156,13 +156,13 @@ def cmd_psi(args):
 def cmd_classify(args):
     point = _resolve_point(args)
     stratum = classify(point, tol=args.tol)
-    return _stratum_document(stratum), 0
+    return _stratum_document(stratum, point), 0
 
 
 def cmd_dim(args):
     point = _resolve_point(args)
     stratum, report = dim_for_point(point, tol=args.tol)
-    return {**document(report), "classification": _stratum_document(stratum)}, 0
+    return {**document(report), "classification": _stratum_document(stratum, point)}, 0
 
 
 def cmd_vertices(args):
@@ -183,8 +183,7 @@ def cmd_vertices(args):
 
 
 def cmd_facets(args):
-    found = facets(args.L)
-    listing = vertices(args.L)
+    found, listing = _facets_and_vertices(args.L)
     doc = {
         "num_qubits": args.L,
         "count": len(found),

@@ -15,16 +15,21 @@ two can be compared honestly:
 
 The descent works on a stack of states, shape (n, 2^L): ``numeric_dim``
 descends its n samples together, each row with its own damping and stop
-test, and ``sample_fiber`` is the one-row case.  A row whose attempt ends
-above FIBER_TOL restarts from a fresh Haar start after the stack, together
-with the other such rows.  Haar starts are bare amplitude rows drawn as
-``haar_state`` draws them, with no PureState built.  The residual Jacobian
-and the dmu matrix both read ``qstate.pauli_images``.  Each stack of samples
-is checked with one call to ``qstate.psi_stack``, the stacked partial trace
-behind ``psi_map`` (not the Pauli images); each row's point must lie near the
-target and inside the admissible region.  The dmu ranks of a stack come from
-one SVD call, and the compact orbit columns are J dmu / 2, so no orbit SVD
-is taken.
+test, and ``sample_fiber`` is the one-row case.  A row that stops leaves the
+stack in the pass that stops it, and the other rows step in that same pass.
+A row whose attempt ends above FIBER_TOL restarts from a fresh Haar start
+after the stack, together with the other such rows.  Haar starts are bare
+amplitude rows drawn as ``haar_state`` draws them, with no PureState built.
+The residual Jacobian and the dmu matrix both read ``qstate.pauli_images``.
+The stack stays a stack: each one is checked with one call to
+``qstate.psi_stack``, the stacked partial trace behind ``psi_map`` (not the
+Pauli images), whose point for each row must lie near the target, and with
+one ``polytope.slacks`` pass over those points' coordinate columns, which
+puts every point inside the admissible region.  ``numeric_dim`` then ranks
+the checked amplitude stack as it is, with no PureState per sample; only
+``sample_fiber`` wraps its one row.  The dmu ranks of a stack come from one
+SVD call, and the compact orbit columns are J dmu / 2, so no orbit SVD is
+taken.
 MAX_ITERS and MAX_RESTARTS bound every descent, every sample reaches the
 residual FIBER_TOL, and every rank cuts at ``stability.RANK_TOL``; no entry
 point takes any of them.
@@ -39,7 +44,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .polytope import SpectraPoint, StratumClass, check_int, classify, membership
+from .polytope import MEMBER_TOL, SpectraPoint, StratumClass, check_int, classify, slacks
 from .qstate import PureState, _haar_row, pauli_images, psi_stack
 from .stability import _rank_and_svals, _real_columns
 from .wall import wall_state
@@ -47,9 +52,10 @@ from .wall import wall_state
 # Every fiber sample reaches this Euclidean spectra distance, or raises.
 FIBER_TOL = 1e-10
 # A step costs one residual/Jacobian evaluation and one small solve, about
-# 0.1 ms at L = 6 on a 2-core x86-64 VM, so a call that fails on all
-# MAX_RESTARTS + 1 attempts ends in about 0.2 s there.  Converging attempts
-# took at most 45 steps from Haar starts, down to wall slack 2e-9.
+# 0.065 ms for one row at L = 6 on a 2-core x86-64 VM (one BLAS thread), so a
+# call that fails on all MAX_RESTARTS + 1 attempts ends in about 0.08 s there
+# (medians of 7).  Converging attempts took at most 45 steps from Haar
+# starts, down to wall slack 2e-9.
 MAX_ITERS = 200
 MAX_RESTARTS = 5
 # numeric_dim descends at most this many Pauli-image entries (n * 3L * 2^L,
@@ -138,13 +144,17 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray | No
                     end[i], end_f[i], end_steps[i] = amps[j], fs[j], steps
             go = [j for j, sj in enumerate(stop) if not sj]
             live, mu = [live[j] for j in go], [mu[j] for j in go]
-            amps, e, g, f = amps[go], e[go], g[go], f[go]
-            continue  # the rows that go on take their step in the next pass
+            if not live:
+                break
+            # the rows that go on step in this pass, on the Gram matrices already taken
+            amps, e, g, f, a = amps[go], e[go], g[go], f[go], a[go]
+            gv = g.view(np.float64)
         diag = a.reshape(len(a), -1)[:, ::m + 1]  # a view of each row's diagonal
         diag += np.array(mu)[:, None] * (diag.sum(axis=1) / m)[:, None]
         c = np.linalg.solve(a, -e[..., None])
         cand = amps + (c.swapaxes(1, 2) @ gv)[:, 0].view(np.complex128)
-        cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+        # np.linalg.norm(cand, axis=1, keepdims=True), the same arithmetic without its wrapper
+        cand /= np.sqrt(np.add.reduce((cand.conj() * cand).real, axis=1, keepdims=True))
         e_cand, g_cand = _residuals_and_jacobian(cand, L, target, keep)
         f_cand = (e_cand * e_cand).sum(axis=1)
         down = (f_cand < f).tolist()
@@ -235,19 +245,26 @@ def sample_fiber(target: SpectraPoint, seed: int = 0) -> FiberSample:
     """
     seed = check_int(seed, "seed", 0)
     stratum = classify(target)  # refuses a target outside the admissible region
-    return _fiber_samples(target, stratum, [seed])[0]
+    amps, (row,) = _fiber_samples(target, stratum, [seed])
+    return FiberSample(PureState(target.num_qubits, amps[0]), target, *row)
 
 
-def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[int]) -> list:
-    """One checked fiber sample per seed, in seed order, all descended as one stack.
+def _fiber_samples(target: SpectraPoint, stratum: StratumClass,
+                   seeds: Sequence[int]) -> tuple[np.ndarray, list]:
+    """Checked fiber samples, one per seed, in seed order, all descended as one stack.
 
+    Returns their amplitudes, shape (n, 2^L), and per row the tuple
+    (residual, iterations, restarts, seed, method) of ``FiberSample`` fields.
     ``default_rng(seed)`` draws that row's exact or Haar start and then the
     Haar start of each restart, so a row's sample does not depend on the
     other rows.  After each attempt the rows still above FIBER_TOL restart
     together; each row keeps its lowest attempt end.  One ``psi_stack`` call
-    reads every sample's ``psi_map`` point, which must lie within FIBER_TOL of
-    the target and inside the admissible region, or ConvergenceError names the
-    test that failed.
+    checks every row's reductions (finite, Hermitian and of trace 1, the
+    squared norm, within MATRIX_TOL) and reads its ``psi_map`` point, which must
+    lie within FIBER_TOL of the target; one ``slacks`` pass over the points'
+    coordinate columns requires every point to lie inside the admissible
+    region within MEMBER_TOL.  Otherwise ConvergenceError names the test that
+    failed.
     """
     L = target.num_qubits
     t_arr = target.as_array()
@@ -271,11 +288,11 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
         rows = [i for i in rows if f[i] > tol2]
         if not rows:
             break
-    states = [PureState(L, row) for row in amps]
-    achieved = psi_stack(np.array([state.amplitudes for state in states]))  # one check per stack
+    achieved = psi_stack(amps)  # one check per stack
     residuals = np.linalg.norm(achieved - t_arr, axis=1).tolist()
+    outside = (np.array(slacks(tuple(achieved.T))) < -MEMBER_TOL).any(axis=0).tolist()
     out = []
-    for i, (seed, state, lams, residual) in enumerate(zip(seeds, states, achieved.tolist(), residuals)):
+    for i, (seed, residual) in enumerate(zip(seeds, residuals)):
         if f[i] > tol2:
             raise ConvergenceError(
                 f"fiber sampling did not reach residual {FIBER_TOL:g} after {MAX_RESTARTS} "
@@ -286,15 +303,15 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass, seeds: Sequence[
                 f"fiber sample failed re-verification: its psi_map point lies {residual:.3e} "
                 f"from the target, above FIBER_TOL = {FIBER_TOL:g}"
             )
-        if not membership(SpectraPoint(tuple(lams))).member:
+        if outside[i]:
             raise ConvergenceError(
                 "fiber sample failed re-verification: its psi_map point lies outside the "
                 "admissible region"
             )
         exact = starts[i] is not None and iterations[i] == 0 and restarts[i] == 0
         method = starts[i][1] if exact else "descent"
-        out.append(FiberSample(state, target, residual, iterations[i], restarts[i], seed, method))
-    return out
+        out.append((residual, iterations[i], restarts[i], seed, method))
+    return amps, out
 
 
 # --- momentum differential ---------------------------------------------------
@@ -409,21 +426,21 @@ def numeric_dim(target: SpectraPoint, n_samples: int = 5, seed: int = 0) -> Nume
     per_stack = max(1, STACK_ENTRIES // (3 * L * 2**L))
     audits = []
     for first in range(0, n_samples, per_stack):
-        samples = _fiber_samples(target, stratum, seeds[first:first + per_stack])
-        amps = np.stack([sample.state.amplitudes for sample in samples])
+        amps, rows = _fiber_samples(target, stratum, seeds[first:first + per_stack])
         ranks, svals, shaky = _rank_and_svals(_dmu_matrices(amps, L))  # one SVD call per stack
-        for sample, rank, sv, ill in zip(samples, ranks, svals, shaky):
+        for (residual, iterations, restarts, sample_seed, _), rank, sv, ill in zip(
+                rows, ranks, svals, shaky):
             iso = 3 * L - rank  # dim K.x = rank dmu
             audits.append(SampleAudit(
-                seed=sample.seed,
+                seed=sample_seed,
                 rank_dmu=rank,
                 dim_isotropy=iso,
                 estimate=(dim_proj - rank) - (dim_k_alpha - iso),
-                residual=sample.residual,
+                residual=residual,
                 sv_gap=_sv_gap(sv, rank),
                 regular=not ill,
-                iterations=sample.iterations,
-                restarts=sample.restarts,
+                iterations=iterations,
+                restarts=restarts,
             ))
 
     estimates = {a.estimate for a in audits}

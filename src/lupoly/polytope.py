@@ -11,8 +11,9 @@ Sudbery & Szulc (PRL 90, 107902, 2003):
 One function, ``slacks``, evaluates all of them.  It returns the 3L
 slacks in row order: the lower, then the upper, then the wall rows, each
 for qubits 1..L, so row i is inequality ``KINDS[i // L]`` of qubit
-``i % L + 1``.  Membership, strata, facets, the vertex oracle's rows and
-the wall checks of ``wall.wall_state`` are all read off these slacks.
+``i % L + 1``.  Membership, strata, facets, the vertex oracle's rows, the
+wall checks of ``wall.wall_state`` and the region check of each fiber sample
+stack (on float arrays, one per coordinate) are all read off these slacks.
 
 All constraint arithmetic on exact or mixed points goes through
 Fraction constants; float coordinates take the float 1/2, which rounds
@@ -196,8 +197,11 @@ def slacks(lams) -> tuple:
     2L..3L-1 are the wall slacks (L - 2)/2 - sum_j lambda_j + 2 lambda_l.
     A point of floats (numpy floats too) takes the float 1/2, which gives
     the same floats as the Fraction constant without its operator dispatch.
+    So do float arrays, one per coordinate: row i is then the array of slack
+    i of each point of a stack, the same floats its point gives.
     """
-    half = 0.5 if all(isinstance(lam, float) for lam in lams) else HALF
+    half = 0.5 if all(isinstance(lam, float) or getattr(lam, "dtype", None) == float
+                      for lam in lams) else HALF
     base = half * (len(lams) - 2) - sum(lams)
     return (*lams, *(half - lam for lam in lams), *(base + 2 * lam for lam in lams))
 
@@ -460,8 +464,14 @@ def facets(num_qubits: int) -> tuple:
     bounds only cut out edges and are dropped; at L = 2, where the region
     is a segment, the two wall rows hold on all of it.
     """
+    return _facets_and_vertices(num_qubits)[0]
+
+
+def _facets_and_vertices(num_qubits: int) -> tuple:
+    """``facets(num_qubits)`` and the vertex listing its incidences were read from."""
     L = check_qubit_count(num_qubits, 2, "facets")
-    verts = vertices(L).vertices
+    listing = vertices(L)
+    verts = listing.vertices
     # 0, 1/2 and sums of at most 12 halves are exact floats: each slack is exact, == 0 too
     vert_slacks = [slacks(tuple(map(float, v.point.lambdas))) for v in verts]
     # tight[r] has bit i set when vertex i lies on row r
@@ -475,7 +485,7 @@ def facets(num_qubits: int) -> tuple:
         ineq = Inequality(KINDS[row // L], row % L + 1)
         labels = tuple(v.label for i, v in enumerate(verts) if mask >> i & 1)
         out.append(Facet(ineq.kind, ineq.qubit, ineq.equality, labels, len(labels)))
-    return tuple(out)
+    return tuple(out), listing
 
 
 def random_interior_point(num_qubits: int, rng) -> SpectraPoint:

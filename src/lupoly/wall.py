@@ -19,8 +19,8 @@ from itertools import combinations
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import (SpectraPoint, check_int, check_qubit_count, check_qubit_index, membership,
-                       slack_tol, slacks)
+from .polytope import (SpectraPoint, _point_slacks, check_int, check_qubit_count,
+                       check_qubit_index, membership, slack_tol)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,7 +134,8 @@ def wall_state(alpha: SpectraPoint, phases) -> "PureState":
             "wall_state requires all coordinates strictly below 1/2; "
             "strip 1/2 coordinates (product factors) first"
         )
-    d = next((l for l, s in enumerate(slacks(lams)[2 * L:], 1) if abs(s) <= tol), None)
+    # membership has just computed the slacks and kept them on the point
+    d = next((l for l, s in enumerate(_point_slacks(alpha)[2 * L:], 1) if abs(s) <= tol), None)
     if d is None:
         raise ValidationError("alpha does not satisfy any wall equality")
 

@@ -19,7 +19,6 @@ from lupoly import (
     ConvergenceError,
     InternalInvariantError,
     SpectraPoint,
-    membership,
     random_wall_point,
     sample_fiber,
     schemas,
@@ -292,8 +291,8 @@ class TestExitCodes:
         assert code == 2 and json.loads(err)["error"]["type"] == "ConvergenceError"
 
     def test_sample_outside_the_region_exits_two(self, capsys, monkeypatch):
-        outside = membership(SpectraPoint((0.4, 0.0, 0.3)))
-        monkeypatch.setattr("lupoly.fiberlab.membership", lambda point: outside)
+        # the sampler's one region check reads every slack of the sample as negative
+        monkeypatch.setattr("lupoly.fiberlab.slacks", lambda columns: (columns[0] * 0.0 - 1.0,))
         code, doc, err = run(capsys, "sample-fiber", "--lambda", "0.1,0.2,0.15")
         error = json.loads(err)["error"]
         assert (code, doc, error["type"]) == (2, None, "ConvergenceError")
@@ -411,6 +410,15 @@ class TestInputRouting:
         code, doc, _ = run(capsys, "classify", "--lambda", "9/20,1/5,1/5", "--tol", "0.05")
         assert code == 0
         assert doc["half_qubits"] == [1] and doc["residual_qubits"] == [2, 3]
+
+    @pytest.mark.parametrize("command", ("classify", "dim"))
+    def test_exact_field_reports_the_point_not_the_tolerance(self, command, capsys):
+        # a float point at tolerance 0 is not exact; fraction tokens at 0.05 are
+        for lams, tol, exact in (("0.1,0.2,0.15", "0", False), ("9/20,1/5,1/5", "0.05", True)):
+            code, doc, _ = run(capsys, command, "--lambda", lams, "--tol", tol)
+            stratum = doc if command == "classify" else doc["classification"]
+            assert code == 0 and stratum["tol"] == float(tol)
+            assert stratum["exact"] is exact
 
     def test_float_tokens_need_tolerance(self, capsys):
         lams = "0.1666667,0.3333333,0.3333333"

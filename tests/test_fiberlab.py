@@ -30,6 +30,7 @@ from lupoly import (
     stable_state,
 )
 from lupoly import fiberlab, stability
+from lupoly.polytope import MEMBER_TOL
 from lupoly.qstate import MAX_QUBITS, apply_slot_operator, pauli_images
 from lupoly.stability import _rank_and_svals
 from test_stability import PAULIS, reference_columns
@@ -245,14 +246,16 @@ class TestStackedKernel:
 
         monkeypatch.setattr(fiberlab, "_exact_start", product_start_for_seed_0)
         stratum = classify(INTERIOR3)
-        samples = fiberlab._fiber_samples(INTERIOR3, stratum, [0, 1, 2])
-        assert [s.restarts for s in samples] == [1, 0, 0]
-        assert all(type(s.iterations) is int and type(s.restarts) is int for s in samples)
-        assert [s.method for s in samples] == ["descent"] * 3
-        for sample in samples:
-            (one,) = fiberlab._fiber_samples(INTERIOR3, stratum, [sample.seed])
-            assert (sample.iterations, sample.restarts) == (one.iterations, one.restarts)
-            assert np.allclose(sample.state.amplitudes, one.state.amplitudes, rtol=0, atol=1e-12)
+        amps, rows = fiberlab._fiber_samples(INTERIOR3, stratum, [0, 1, 2])
+        assert amps.shape == (3, 8)
+        assert [restarts for _, _, restarts, _, _ in rows] == [1, 0, 0]
+        assert all(type(its) is int and type(restarts) is int for _, its, restarts, _, _ in rows)
+        assert [method for *_, method in rows] == ["descent"] * 3
+        for row_amps, (_, its, restarts, seed, _) in zip(amps, rows):
+            one_amps, ((_, one_its, one_restarts, _, _),) = fiberlab._fiber_samples(
+                INTERIOR3, stratum, [seed])
+            assert (its, restarts) == (one_its, one_restarts)
+            assert np.allclose(row_amps, one_amps[0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("lams", ((0.3, 0.3), (0.0, 0.0)))
     def test_two_qubit_targets_need_no_steps(self, lams):
@@ -357,9 +360,14 @@ class TestSampleFiber:
 
     @pytest.mark.parametrize("sampler", (sample_fiber, numeric_dim), ids=("sample", "numeric"))
     def test_sample_outside_the_region_fails_its_check(self, sampler, monkeypatch):
-        outside = membership(SpectraPoint((0.4, 0.0, 0.3)))
-        assert not outside.member
-        monkeypatch.setattr(fiberlab, "membership", lambda point: outside)
+        # every lower-bound slack of every sample reads just past the cut
+        slacks = fiberlab.slacks
+
+        def lower_rows_violated(columns):
+            rows = slacks(columns)
+            return tuple(np.full_like(s, -2 * MEMBER_TOL) for s in rows[:3]) + rows[3:]
+
+        monkeypatch.setattr(fiberlab, "slacks", lower_rows_violated)
         with pytest.raises(ConvergenceError, match="outside the admissible region$"):
             sampler(INTERIOR3)
 
@@ -398,17 +406,23 @@ class TestSampleFiber:
         assert next(attempts, None) is None
 
     def test_one_row_outside_the_region_fails_the_call(self, monkeypatch):
-        outside = membership(SpectraPoint((0.4, 0.0, 0.3)))
-        points = []
+        # numeric_dim checks its three samples in one slacks pass; only row 1's wall
+        # slack of qubit 1 reads past the cut
+        slacks, calls = fiberlab.slacks, []
 
-        def row_1_outside(point):
-            points.append(point)
-            return outside if len(points) == 2 else membership(point)
+        def row_1_outside(columns):
+            calls.append(columns)
+            rows = list(slacks(columns))
+            rows[6] = rows[6] - np.array([0.0, rows[6][1] + 2 * MEMBER_TOL, 0.0])
+            return tuple(rows)
 
-        monkeypatch.setattr(fiberlab, "membership", row_1_outside)
+        monkeypatch.setattr(fiberlab, "slacks", row_1_outside)
         with pytest.raises(ConvergenceError, match="outside the admissible region$"):
             numeric_dim(INTERIOR3, n_samples=3)
-        assert len(points) == 2 and membership(points[1]).member
+        (columns,) = calls
+        assert [c.shape for c in columns] == [(3,)] * 3
+        points = [SpectraPoint(tuple(float(c[i]) for c in columns)) for i in range(3)]
+        assert all(membership(point).member for point in points)
 
     def test_gives_up_honestly(self, monkeypatch):
         monkeypatch.setattr(fiberlab, "MAX_ITERS", 1)
@@ -609,6 +623,37 @@ class TestNumericDim:
             sample = sample_fiber(INTERIOR3, seed=audit.seed)
             assert (audit.iterations, audit.restarts) == (sample.iterations, sample.restarts)
             assert audit.iterations > 0
+
+    @pytest.mark.parametrize("zero", (False, True), ids=("interior", "zero-coordinate"))
+    @pytest.mark.parametrize("L", (3, 4, 5, 6))
+    def test_audits_match_the_per_seed_reference(self, L, zero):
+        # the stacked path against one sample_fiber and one momentum_rank_report per seed
+        lams = list(random_interior_point(L, np.random.default_rng(40 + L)).lambdas)
+        if zero:
+            lams = [0.0] + [lam / 2.0 for lam in lams[1:]]
+        target = SpectraPoint(tuple(lams))
+        stratum = classify(target)
+        assert stratum.zero_qubits == ((1,) if zero else ()) and stratum.tight_walls == ()
+        estimate = numeric_dim(target, n_samples=4, seed=5)
+        assert estimate.status == "ok"
+        for audit in estimate.samples:
+            sample = sample_fiber(target, seed=audit.seed)
+            report = momentum_rank_report(sample.state)
+            assert (audit.rank_dmu, audit.iterations, audit.restarts) == (
+                report.rank, sample.iterations, sample.restarts)
+            assert (audit.regular, audit.sv_gap) == (not report.ill_conditioned, report.gap)
+            assert abs(audit.residual - sample.residual) <= 1e-15
+
+    def test_builds_no_pure_state(self, monkeypatch):
+        # the samples stay one amplitude stack; only sample_fiber wraps its row
+        def no_state(*args, **kwargs):
+            raise AssertionError("a PureState was built")
+
+        monkeypatch.setattr(fiberlab, "PureState", no_state)
+        for target in (INTERIOR3, SpectraPoint((0.0, 0.1, 0.2, 0.15)), SpectraPoint((0.3, 0.3))):
+            assert numeric_dim(target, n_samples=3).status == "ok"
+        with pytest.raises(AssertionError, match="a PureState was built"):
+            sample_fiber(INTERIOR3)
 
     def test_singular_value_in_the_band_is_not_regular(self, monkeypatch):
         # a cut at twice the smallest singular value drops it, and it lies within the band;

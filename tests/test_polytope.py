@@ -114,6 +114,12 @@ class TestSlacks:
             assert all(isinstance(s, float) for s in got)
             assert [type(s) for s in got] == [type(s) for s in want]
             assert [s.hex() for s in got] == [float(s).hex() for s in want]
+        # float arrays, one per coordinate, as the fiber sampler checks a stack: row i
+        # holds slack i of every point
+        rows = slacks(tuple(np.array(points, dtype=np.float64).T))
+        assert len(rows) == 3 * num_qubits and all(row.shape == (len(points),) for row in rows)
+        for j, want in enumerate(wants):
+            assert [row[j].hex() for row in rows] == [float(s).hex() for s in want]
 
     def test_mixed_points_keep_the_fraction_constant(self):
         for lams in ((Fraction(1, 10), 0.2, 0.15), (Fraction(1, 10), np.float64(0.2)), (0, 0.25, 0.3)):

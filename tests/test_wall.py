@@ -24,6 +24,7 @@ from lupoly import (
     torus_transitivity_check,
     wall_state,
 )
+from lupoly import polytope, wall
 from lupoly.qstate import MAX_QUBITS
 
 
@@ -181,6 +182,22 @@ class TestWallState:
         assert classify(near).tight_walls == (1,)
         state = wall_state(near, np.zeros(3))
         assert np.allclose(psi_map(state).as_array(), near.as_array(), atol=1e-10)
+
+    def test_one_slack_pass_per_call(self, monkeypatch):
+        # membership keeps the slacks on the point and the wall rows are read off them
+        calls = []
+
+        def counted(lams):
+            calls.append(lams)
+            return slacks(lams)
+
+        for module in (polytope, wall):  # wherever the name is bound
+            monkeypatch.setattr(module, "slacks", counted, raising=False)
+        wall_point = random_wall_point(4, np.random.default_rng(3))
+        points = (SpectraPoint.exact(["1/6", "1/3", "1/3"]), SpectraPoint(wall_point.lambdas))
+        for alpha in points:
+            wall_state(alpha, np.zeros(alpha.num_qubits))
+        assert calls == [alpha.lambdas for alpha in points]
 
     def test_validation(self):
         rng = np.random.default_rng(35)
