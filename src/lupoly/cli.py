@@ -15,10 +15,14 @@ call behind each flag checks its value, so a count, seed, index, weight
 or tolerance out of range raises ``ValidationError`` and exits 1 with a
 message that names the argument, the interval and the value.
 
-The numpy modules (``qstate``, ``fiberlab``, ``stability``) are imported
-inside the handlers and branches that use them: ``classify`` and ``dim``
-on a lambda list, ``vertices``, ``facets``, ``xspec`` and ``wall-check``
-run without importing numpy.
+Start-up is most of a one-shot call, so the exact subcommands import only
+what they use: ``classify`` and ``dim`` on a lambda list, ``vertices``,
+``facets``, ``xspec`` and ``wall-check`` run without numpy, ``inspect``
+or ``traceback``.  The numpy modules (``qstate``, ``fiberlab``,
+``stability``) are imported inside the handlers and branches that use
+them, the result records are NamedTuples (a data-class decorator would
+import ``inspect``), and ``traceback`` is imported only to print an
+internal error.  ``tests/test_startup.py`` pins this.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ import json
 import os
 import re
 import sys
-import traceback
 from fractions import Fraction
 
 from .dimension import dim_for_point
@@ -381,6 +384,8 @@ def main(argv: list[str] | None = None) -> int:
     except InternalInvariantError as exc:
         return _fail(3, exc)
     except Exception as exc:  # noqa: BLE001 -- anything else is a bug in here
+        import traceback  # only this branch prints one
+
         traceback.print_exc()
         return _fail(3, exc)
     try:

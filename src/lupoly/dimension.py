@@ -7,7 +7,7 @@ directly worked case ("paper-exact") or a composition of reductions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalInvariantError
 from .polytope import SpectraPoint, StratumClass, classify
@@ -24,17 +24,28 @@ FORMULAS = (
 )
 
 
-@dataclass(frozen=True)
-class DimReport:
+class _DimFields(NamedTuple):
     dim_M: int
     num_invariants: int
     formula: str
     status: str  # "paper-exact" | "composed"
     notes: tuple = ()
 
-    def __post_init__(self) -> None:
-        if self.dim_M < 0:
-            raise InternalInvariantError(f"negative dimension {self.dim_M}")
+
+class DimReport(_DimFields):
+    """The dimension of a reduced space; a negative dimension is refused at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        report = super().__new__(cls, *args, **kwargs)
+        if report.dim_M < 0:
+            raise InternalInvariantError(f"negative dimension {report.dim_M}")
+        return report
+
+    @classmethod
+    def _make(cls, iterable) -> "DimReport":
+        return cls(*iterable)  # through the guard, as ``_replace`` is too
 
 
 def _generic_dim(L: int) -> int:

@@ -38,8 +38,7 @@ point takes any of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -169,8 +168,7 @@ def _descend(amps: np.ndarray, L: int, target: np.ndarray, keep: np.ndarray | No
     return end, end_f, end_steps
 
 
-@dataclass(frozen=True, eq=False)
-class FiberSample:
+class FiberSample(NamedTuple):
     state: PureState
     target: SpectraPoint
     residual: float
@@ -342,8 +340,7 @@ def _sv_gap(svals: np.ndarray, rank: int) -> float:
     return math.inf if dropped == 0.0 else float(kept / dropped)
 
 
-@dataclass(frozen=True)
-class DmuReport:
+class DmuReport(NamedTuple):
     rank: int
     singular_values: tuple
     gap: float  # ratio of smallest kept to largest dropped singular value
@@ -364,8 +361,7 @@ def rank_dmu(state: PureState) -> int:
 # --- dimension estimate ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SampleAudit:
+class SampleAudit(NamedTuple):
     seed: int
     rank_dmu: int
     dim_isotropy: int
@@ -377,8 +373,7 @@ class SampleAudit:
     restarts: int
 
 
-@dataclass(frozen=True)
-class NumericDimEstimate:
+class NumericDimEstimate(NamedTuple):
     target: SpectraPoint
     dim_estimate: int | None
     status: str  # "ok" | "inconclusive"

@@ -43,11 +43,10 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, fields, is_dataclass
 from fractions import Fraction
 from itertools import combinations
 from numbers import Rational, Real
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from ._exact import solve_unique
 from .errors import ValidationError
@@ -114,18 +113,18 @@ def read_json(source, what: str):
         raise ValidationError(f"{what} is not valid JSON: {exc}") from exc
 
 
-@dataclass(frozen=True)
 class SpectraPoint:
     """Ordered shifted spectra (lambda_1, ..., lambda_L).
 
     Coordinates may be floats or exact rationals (fractions.Fraction);
-    exact coordinates make boundary classification exact.
+    exact coordinates make boundary classification exact.  A point is
+    immutable, and compares and hashes by its coordinates.
     """
 
-    lambdas: tuple
+    __slots__ = ("lambdas", "_exact", "_slacks")
 
-    def __post_init__(self) -> None:
-        lams = tuple(self.lambdas)
+    def __init__(self, lambdas) -> None:
+        lams = tuple(lambdas)
         if not lams:
             raise ValidationError("a spectra point needs at least one coordinate")
         exact = True
@@ -135,6 +134,25 @@ class SpectraPoint:
                 exact = False
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "_exact", exact)
+        object.__setattr__(self, "_slacks", None)  # set by ``_point_slacks``
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self.lambdas == other.lambdas if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.lambdas)
+
+    def __repr__(self) -> str:
+        return f"SpectraPoint(lambdas={self.lambdas!r})"
+
+    def __reduce__(self):
+        return SpectraPoint, (self.lambdas,)
 
     @property
     def num_qubits(self) -> int:
@@ -158,15 +176,16 @@ class SpectraPoint:
 def document(result):
     """The JSON document of a result, written by one rule.
 
-    A dataclass becomes an object of its fields in declaration order, tuples
-    and lists become lists, a SpectraPoint becomes its float coordinates and
+    A record (a value with ``_fields``, such as every result type here)
+    becomes an object of its fields in declaration order, other tuples and
+    lists become lists, a SpectraPoint becomes its float coordinates and
     a non-finite float becomes null; these apply recursively, and every
     other value passes through unchanged.
     """
     if isinstance(result, SpectraPoint):
         return [float(x) for x in result.lambdas]
-    if is_dataclass(result):
-        return {f.name: document(getattr(result, f.name)) for f in fields(result)}
+    if hasattr(result, "_fields"):
+        return {name: document(value) for name, value in zip(result._fields, result)}
     if isinstance(result, (tuple, list)):
         return [document(x) for x in result]
     if isinstance(result, float) and not math.isfinite(result):
@@ -206,8 +225,7 @@ def slacks(lams) -> tuple:
     return (*lams, *(half - lam for lam in lams), *(base + 2 * lam for lam in lams))
 
 
-@dataclass(frozen=True)
-class Inequality:
+class Inequality(NamedTuple):
     """One of the 3L defining inequalities, tagged by kind and qubit."""
 
     kind: str  # "lower" | "upper" | "wall"
@@ -223,8 +241,7 @@ class Inequality:
         return f"1/2 - lambda_{l} = sum_(j != {l}) (1/2 - lambda_j)"
 
 
-@dataclass(frozen=True)
-class MembershipResult:
+class MembershipResult(NamedTuple):
     member: bool
     violations: tuple  # of (Inequality, float slack)
 
@@ -238,7 +255,7 @@ def slack_tol(point: SpectraPoint, tol: float | None = None) -> float:
 
 def _point_slacks(point: SpectraPoint) -> tuple:
     """``slacks(point.lambdas)``, computed once per point and kept on it."""
-    row = point.__dict__.get("_slacks")
+    row = point._slacks
     if row is None:
         row = slacks(point.lambdas)
         object.__setattr__(point, "_slacks", row)
@@ -262,8 +279,7 @@ def membership(point: SpectraPoint, tol: float | None = None) -> MembershipResul
     return MembershipResult(member=not bad, violations=bad)
 
 
-@dataclass(frozen=True)
-class StratumClass:
+class StratumClass(NamedTuple):
     """Where a member point sits relative to the boundary strata.
 
     ``k_half`` coordinates at 1/2 are stripped first; the remaining
@@ -354,8 +370,7 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
 # --- vertices ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Vertex:
+class Vertex(NamedTuple):
     """Extreme point: lambda_l = 0 on zero_set, 1/2 elsewhere."""
 
     label: str
@@ -363,8 +378,7 @@ class Vertex:
     point: SpectraPoint
 
 
-@dataclass(frozen=True)
-class VertexList:
+class VertexList(NamedTuple):
     num_qubits: int
     vertices: tuple
     source: str = "closed-form"
@@ -443,8 +457,7 @@ def vertices_oracle(num_qubits: int) -> VertexList:
 # --- facets -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """A defining inequality whose tight set has affine dimension L-1."""
 
     kind: str

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -62,7 +61,6 @@ def _num_qubits_for(dim: int) -> int:
     return L
 
 
-@dataclass(frozen=True, eq=False)
 class PureState:
     """Normalized pure state of ``num_qubits`` qubits.
 
@@ -70,15 +68,16 @@ class PureState:
     vectors whose norm deviates from 1 by more than ``NORM_TOL`` and
     divides the rest by their norm; only ``from_amplitudes(...,
     renormalize=True)`` rescales an arbitrary nonzero vector first.
+    A state is immutable and compares by identity; a copy or an
+    unpickled state keeps the amplitudes bit for bit.
     """
 
-    num_qubits: int
-    amplitudes: np.ndarray
+    __slots__ = ("num_qubits", "amplitudes")
 
-    def __post_init__(self) -> None:
-        amps = np.ascontiguousarray(self.amplitudes, dtype=np.complex128).reshape(-1)
+    def __init__(self, num_qubits: int, amplitudes: np.ndarray) -> None:
+        amps = np.ascontiguousarray(amplitudes, dtype=np.complex128).reshape(-1)
         L = _num_qubits_for(amps.size)
-        check_int(self.num_qubits, f"num_qubits of {amps.size} amplitudes", L, L)
+        num_qubits = check_int(num_qubits, f"num_qubits of {amps.size} amplitudes", L, L)
         if not np.all(np.isfinite(amps.view(np.float64))):
             raise ValidationError("amplitudes contain NaN or infinity")
         scale, _, norm = _norm_parts(amps)
@@ -88,9 +87,25 @@ class PureState:
                 f"unnormalized state: the norm must be 1 within NORM_TOL = {NORM_TOL:g}, "
                 f"got a deviation of {abs(norm - 1.0):.3e}"
             )
-        amps = amps / norm
+        self.__setstate__((num_qubits, amps / norm))
+
+    def __getstate__(self) -> tuple:
+        return self.num_qubits, self.amplitudes
+
+    def __setstate__(self, state: tuple) -> None:
+        num_qubits, amps = state
         amps.flags.writeable = False
+        object.__setattr__(self, "num_qubits", num_qubits)
         object.__setattr__(self, "amplitudes", amps)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"PureState(num_qubits={self.num_qubits!r}, amplitudes={self.amplitudes!r})"
 
     @classmethod
     def from_amplitudes(cls, amplitudes: Iterable[complex], renormalize: bool = False) -> "PureState":

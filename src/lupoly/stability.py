@@ -11,7 +11,7 @@ takes its orbit report and its k1 rank from one call of the kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ REDUCTION_TOL = 1e-10
 ILL_CONDITION_BAND = 10.0
 
 
-@dataclass(frozen=True)
-class OrbitReport:
+class OrbitReport(NamedTuple):
     dim_K_orbit: int
     dim_G_orbit_complex: int
     dim_isotropy_algebra: int
@@ -129,8 +128,7 @@ def stable_state(num_qubits: int, alpha: float | None = None) -> PureState:
     return complement_pair_state(L, alpha)
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     stable: bool
     k1: int
     k1_rank: int

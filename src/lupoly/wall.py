@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from ._exact import exact_rank
 from .errors import ValidationError
@@ -23,8 +23,7 @@ from .polytope import (SpectraPoint, _point_slacks, check_int, check_qubit_count
                        check_qubit_index, membership, slack_tol)
 
 
-@dataclass(frozen=True, eq=False)
-class WallOperator:
+class WallOperator(NamedTuple):
     """Diagonal operator attached to the wall of the distinguished qubit."""
 
     num_qubits: int
@@ -52,8 +51,7 @@ def build_wall_operator(num_qubits: int, distinguished: int = 1) -> WallOperator
     return WallOperator(L, distinguished, xi, diag)
 
 
-@dataclass(frozen=True)
-class WeightSubspaceBasis:
+class WeightSubspaceBasis(NamedTuple):
     """Computational kets spanning an eigenspace of the wall operator."""
 
     num_qubits: int
@@ -168,8 +166,7 @@ def wall_state(alpha: SpectraPoint, phases) -> "PureState":
     return PureState.from_amplitudes(amps, renormalize=True)
 
 
-@dataclass(frozen=True)
-class TorusCertificate:
+class TorusCertificate(NamedTuple):
     """Integer phase-shift matrix of the diagonal torus on the fiber amplitudes."""
 
     L: int

@@ -579,12 +579,12 @@ class TestSelftest:
     def test_wrong_dimension_fails_under_optimize(self):
         # python -O strips assert statements; the criteria must fail regardless
         script = (
-            "import dataclasses, sys\n"
+            "import sys\n"
             "from lupoly import cli, criteria\n"
             "real = criteria.dim_for_point\n"
             "def off_by_seven(point, **kw):\n"
             "    stratum, report = real(point, **kw)\n"
-            "    return stratum, dataclasses.replace(report, dim_M=report.dim_M + 7)\n"
+            "    return stratum, report._replace(dim_M=report.dim_M + 7)\n"
             "criteria.dim_for_point = off_by_seven\n"
             "sys.exit(cli.main(['selftest', '--samples', '1']))\n"
         )

@@ -189,6 +189,14 @@ class TestContracts:
         with pytest.raises(InternalInvariantError):
             DimReport(-2, 1, "interior", "paper-exact", ())
 
+    def test_negative_dimension_guarded_on_replace(self):
+        report = DimReport(2, 5, "interior", "paper-exact", ())
+        assert report._replace(dim_M=0) == (0, 5, "interior", "paper-exact", ())
+        with pytest.raises(InternalInvariantError):
+            report._replace(dim_M=-2)
+        with pytest.raises(InternalInvariantError):
+            DimReport._make((-2, 1, "interior", "paper-exact", ()))
+
     def test_dim_reduced_space_takes_stratum(self):
         stratum = classify(SpectraPoint((0.1, 0.2, 0.15)))
         assert dim_reduced_space(stratum).dim_M == 2

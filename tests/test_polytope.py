@@ -1,8 +1,9 @@
 """Membership, strata, vertices, and facets of the admissible region, and result documents."""
 
+import copy
 import json
 import math
-from dataclasses import fields
+import pickle
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from lupoly import (
     Inequality,
+    PureState,
     SampleAudit,
     SpectraPoint,
     ValidationError,
@@ -514,7 +516,7 @@ class TestDocument:
         result = RESULTS[name]()
         doc = document(result)
         assert json.loads(json.dumps(doc, allow_nan=False)) == doc
-        assert list(doc) == [f.name for f in fields(result)]
+        assert list(doc) == list(type(result)._fields)
 
     def test_rule(self):
         point = SpectraPoint.exact(("1/2", "0"))
@@ -523,3 +525,57 @@ class TestDocument:
         assert document(vertices(2).vertices[0]) == {
             "label": "v_SEP", "zero_set": [], "point": [0.5, 0.5],
         }
+
+
+class TestRecordSemantics:
+    """What the result records and the two value types promise beyond their documents."""
+
+    @pytest.mark.parametrize("name", RESULTS)
+    def test_records_are_frozen_ordered_and_named(self, name):
+        result = RESULTS[name]()
+        fields = type(result)._fields
+        for field in fields:
+            with pytest.raises(AttributeError):
+                setattr(result, field, None)
+        assert list(document(result)) == list(fields)
+        assert repr(result).startswith(f"{name}(")
+
+    def test_spectra_points_compare_and_hash_by_coordinates(self):
+        a, b = SpectraPoint.exact(("1/10", "1/5")), SpectraPoint((Fraction(1, 10), Fraction(1, 5)))
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+        assert a != SpectraPoint((0.1, 0.2)) and a != a.lambdas
+        membership(a)  # keeps its slacks on a, not on b
+        assert a == b and hash(a) == hash(b)
+        assert a.is_exact and not SpectraPoint((0.1, 0.2)).is_exact
+        assert repr(a) == "SpectraPoint(lambdas=(Fraction(1, 10), Fraction(1, 5)))"
+        with pytest.raises(AttributeError, match="cannot assign to field 'lambdas'"):
+            a.lambdas = (0.1, 0.2)
+        with pytest.raises(AttributeError):
+            del a.lambdas
+
+    def test_pure_states_compare_by_identity_and_stay_read_only(self):
+        amps = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+        state, twin = PureState(2, amps), PureState(2, amps)
+        assert state == state and state != twin and len({state, twin}) == 2
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 0.0
+        with pytest.raises(AttributeError):
+            state.amplitudes = amps
+        assert repr(state).startswith("PureState(num_qubits=2, amplitudes=array(")
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x)),
+        lambda x: pickle.loads(pickle.dumps(x, protocol=0)),
+    ])
+    def test_copies_and_pickles_are_equal(self, clone):
+        point = SpectraPoint((Fraction(1, 6), 0.25, Fraction(1, 3)))
+        membership(point)
+        assert clone(point) == point and clone(point).is_exact is False
+        stratum = classify(SpectraPoint.exact(("1/6", "1/3", "1/3")))
+        assert clone(stratum) == stratum and type(clone(stratum)) is type(stratum)
+        state = stable_state(4)
+        copied = clone(state)
+        assert copied.num_qubits == 4 and copied.amplitudes.tobytes() == state.amplitudes.tobytes()
+        with pytest.raises(ValueError):
+            copied.amplitudes[0] = 0.0
+

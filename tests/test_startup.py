@@ -1,4 +1,5 @@
-"""Start-up cost: the exact layer and its subcommands run without importing numpy.
+"""Start-up cost: the exact layer and its subcommands run without importing
+numpy, dataclasses (with inspect) or traceback.
 
 Each check runs in a fresh interpreter, since the test process itself has
 numpy loaded.
@@ -14,8 +15,12 @@ import lupoly
 
 SRC = os.path.dirname(os.path.dirname(lupoly.__file__))
 
+# Modules no exact subcommand loads: numpy, and dataclasses with the inspect
+# it imports, and traceback, which only an internal error needs.
+UNLOADED = ("numpy", "dataclasses", "inspect", "traceback")
+
 # Runs each (argv, stdin) of two lists through cli.main in one process and
-# reports the exit codes, and whether numpy was loaded after the first list.
+# reports the exit codes, and which of UNLOADED were loaded after each list.
 CHILD = """
 import contextlib, io, json, sys
 from lupoly import cli
@@ -28,10 +33,15 @@ def codes(commands):
             out.append(cli.main(argv))
     return out
 
-exact, numeric = json.loads(sys.argv[1])
+def loaded():
+    return [name for name in unloaded if name in sys.modules]
+
+exact, numeric, unloaded = json.loads(sys.argv[1])
 exact_codes = codes(exact)
-loaded = "numpy" in sys.modules
-print(json.dumps({"exact": exact_codes, "numpy": loaded, "numeric": codes(numeric)}))
+exact_loaded = loaded()
+numeric_codes = codes(numeric)
+print(json.dumps({"exact": exact_codes, "exact_loaded": exact_loaded,
+                  "numeric": numeric_codes, "numeric_loaded": loaded()}))
 """
 
 EXACT = [
@@ -57,9 +67,14 @@ def _python(*args: str) -> str:
     return proc.stdout
 
 
+def _loaded_by(statement: str) -> list:
+    """Which of UNLOADED a fresh interpreter has loaded after the statement."""
+    script = f"import json, sys; {statement}; print(json.dumps([m for m in {UNLOADED!r} if m in sys.modules]))"
+    return json.loads(_python("-c", script))
+
+
 def test_import_lupoly_leaves_numpy_unloaded():
-    out = _python("-c", "import sys, lupoly; print('numpy' in sys.modules)")
-    assert out.strip() == "False"
+    assert _loaded_by("import lupoly") == []
 
 
 def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
@@ -73,10 +88,31 @@ def test_exact_subcommands_leave_numpy_unloaded(tmp_path):
         (["classify"], json.dumps(ghz)),
         (["sample-fiber", "--lambda", "0.1,0.2,0.15"], None),
     ]
-    report = json.loads(_python("-c", CHILD, json.dumps([EXACT, numeric])))
+    report = json.loads(_python("-c", CHILD, json.dumps([EXACT, numeric, UNLOADED])))
     assert report["exact"] == [0] * len(EXACT)
-    assert report["numpy"] is False
+    assert report["exact_loaded"] == []
     assert report["numeric"] == [0] * len(numeric)
+    # numpy 2 imports inspect itself; lupoly adds neither module
+    allowed = {"numpy", "traceback"} | set(_loaded_by("import numpy"))
+    assert "dataclasses" not in allowed
+    assert set(report["numeric_loaded"]) <= allowed
+
+
+def test_entry_point_import_log():
+    # the shipped entry point, with its import log: names are the last column
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = ["-X", "importtime", "-m", "lupoly.cli", "dim", "--lambda", "1/10,1/5,3/20"]
+    proc = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim_M"] == 2
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "lupoly.polytope" in imported
+    assert imported.isdisjoint(UNLOADED)
 
 
 # Runs one numeric subcommand through cli.main and reports the BLAS thread
