@@ -6,7 +6,9 @@ two can be compared honestly:
 * ``sample_fiber``: find a state whose shifted marginal spectra match a
   prescribed admissible target, by damped Gauss-Newton steps on the
   spectra residuals over the unit sphere (with exact constructions for
-  product, Schmidt, and tight-wall targets, where no descent is needed).
+  Schmidt and tight-wall targets, where no descent is needed, and |0>
+  factors for the 1/2 coordinates around a sample of the residual system).
+  The target's ``classify`` stratum picks the start once per stack.
 * ``rank_dmu``: numerical rank of the momentum differential at a state,
   whose columns are the projected Pauli images in real coordinates.
 * ``numeric_dim``: assembles per-sample estimates
@@ -178,44 +180,6 @@ class FiberSample(NamedTuple):
     method: str  # "descent" | "wall-construction" | "product" | "schmidt"
 
 
-def _exact_start(stratum: StratumClass, target: SpectraPoint,
-                 rng: np.random.Generator) -> tuple[np.ndarray, str] | None:
-    """Closed-form fiber states for strata that need no descent.
-
-    Tight-wall targets use the explicit wall construction with random
-    torus phases; a two-qubit residual is a Schmidt pair; an empty
-    residual is a product of |0> factors.  Returns None for the regular
-    strata, where the Gauss-Newton descent converges from Haar starts,
-    also close to a wall.
-    """
-    L = stratum.num_qubits
-    if stratum.k_half == 0:
-        if stratum.tight_walls:
-            phases = rng.uniform(0.0, 2.0 * math.pi, size=L)
-            return wall_state(target, phases).amplitudes, "wall-construction"
-        if stratum.residual_L == 2 and L == 2:
-            lam = float(target.lambdas[0])
-            amps = np.zeros(4, dtype=np.complex128)
-            amps[0] = math.sqrt(0.5 + lam)
-            amps[3] = math.sqrt(0.5 - lam)
-            return amps, "schmidt"
-        return None
-    # Strip the lambda = 1/2 coordinates: each is an unentangled |0> factor.
-    residual = stratum.residual_qubits
-    if not residual:
-        amps = np.zeros(2**L, dtype=np.complex128)
-        amps[0] = 1.0
-        return amps, "product"
-    sub_target = SpectraPoint(tuple(target.lambdas[l - 1] for l in residual))
-    sub = sample_fiber(sub_target, seed=int(rng.integers(2**32)))
-    full = np.zeros((2,) * L, dtype=np.complex128)
-    selector = tuple(
-        slice(None) if l in residual else 0 for l in range(1, L + 1)
-    )
-    full[selector] = sub.state.amplitudes.reshape((2,) * len(residual))
-    return full.reshape(-1), "product"
-
-
 def sample_fiber(target: SpectraPoint, seed: int = 0) -> FiberSample:
     """Find a normalized state whose shifted spectra lie within FIBER_TOL of the target.
 
@@ -228,7 +192,8 @@ def sample_fiber(target: SpectraPoint, seed: int = 0) -> FiberSample:
 
     An attempt tries at most MAX_ITERS steps, accepted or not.  An attempt
     that ends above FIBER_TOL is followed by one from a fresh Haar start, at
-    most MAX_RESTARTS times; ``iterations`` counts the steps of all attempts.
+    most MAX_RESTARTS times; ``iterations`` counts the steps of all attempts,
+    on a 1/2 face those of the residual system's sample too.
     The sample's ``psi_map`` point is checked against the target and the
     admissible region.
 
@@ -253,25 +218,51 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass,
 
     Returns their amplitudes, shape (n, 2^L), and per row the tuple
     (residual, iterations, restarts, seed, method) of ``FiberSample`` fields.
-    ``default_rng(seed)`` draws that row's exact or Haar start and then the
-    Haar start of each restart, so a row's sample does not depend on the
-    other rows.  After each attempt the rows still above FIBER_TOL restart
-    together; each row keeps its lowest attempt end.  One ``psi_stack`` call
-    checks every row's reductions (finite, Hermitian and of trace 1, the
-    squared norm, within MATRIX_TOL) and reads its ``psi_map`` point, which must
-    lie within FIBER_TOL of the target; one ``slacks`` pass over the points'
-    coordinate columns requires every point to lie inside the admissible
-    region within MEMBER_TOL.  Otherwise ConvergenceError names the test that
-    failed.
+    The stratum picks one kind of start for the whole stack: with 1/2
+    coordinates, |0> factors times the residual system's samples from one
+    nested call; at a tight wall, ``wall_state``; at L = 2, the Schmidt
+    pair; anywhere else, Haar starts.  ``default_rng(seed)`` draws that row's
+    start (the residual sample's seed, the wall phases, or the Haar row) and
+    then the Haar start of each restart, so a row's sample does not depend on
+    the other rows.  A row's iterations and restarts include those of its
+    residual sample, and its method is the start's kind while the row's own
+    attempt takes no step, "descent" otherwise.  After each attempt the rows
+    still above FIBER_TOL restart together; each row keeps its lowest attempt
+    end.  One ``psi_stack`` call checks every row's reductions (finite,
+    Hermitian and of trace 1, the squared norm, within MATRIX_TOL) and reads
+    its ``psi_map`` point, which must lie within FIBER_TOL of the target; one
+    ``slacks`` pass over the points' coordinate columns requires every point
+    to lie inside the admissible region within MEMBER_TOL.  Otherwise
+    ConvergenceError names the test that failed.
     """
     L = target.num_qubits
     t_arr = target.as_array()
     keep = _keep([l in stratum.zero_qubits for l in range(1, L + 1)])
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    starts = [_exact_start(stratum, target, rng) for rng in rngs]
-    amps = np.array([_haar_row(L, rng) if start is None else start[0]
-                     for start, rng in zip(starts, rngs)])
     n, tol2 = len(seeds), FIBER_TOL * FIBER_TOL
+    nested = [(0, 0)] * n  # per row, the iterations and restarts of its residual sample
+    if stratum.k_half:  # each 1/2 coordinate is an unentangled |0> factor
+        start, residual, sub = "product", stratum.residual_qubits, np.ones(n)
+        if residual:
+            sub_target = SpectraPoint(tuple(target.lambdas[l - 1] for l in residual))
+            sub, sub_rows = _fiber_samples(sub_target, classify(sub_target),
+                                           [int(rng.integers(2**32)) for rng in rngs])
+            sub = np.array([row / np.linalg.norm(row) for row in sub])  # as PureState renormalizes
+            nested = [(its, rs) for _, its, rs, _, _ in sub_rows]
+        amps = np.zeros((n, 2**L), dtype=np.complex128)
+        factors = tuple(slice(None) if l in residual else 0 for l in range(1, L + 1))
+        amps.reshape((n,) + (2,) * L)[(slice(None),) + factors] = sub.reshape(
+            (n,) + (2,) * len(residual))
+    elif stratum.tight_walls:
+        start = "wall-construction"
+        amps = np.array([wall_state(target, rng.uniform(0.0, 2.0 * math.pi, size=L)).amplitudes
+                         for rng in rngs])
+    elif L == 2:  # the Schmidt pair
+        lam, start = float(target.lambdas[0]), "schmidt"
+        amps = np.zeros((n, 4), dtype=np.complex128)
+        amps[:, 0], amps[:, 3] = math.sqrt(0.5 + lam), math.sqrt(0.5 - lam)
+    else:
+        amps, start = np.array([_haar_row(L, rng) for rng in rngs]), "descent"
     f, iterations, restarts = [math.inf] * n, [0] * n, [0] * n
     rows, tries = list(range(n)), amps
     for attempt in range(MAX_RESTARTS + 1):
@@ -306,9 +297,9 @@ def _fiber_samples(target: SpectraPoint, stratum: StratumClass,
                 "fiber sample failed re-verification: its psi_map point lies outside the "
                 "admissible region"
             )
-        exact = starts[i] is not None and iterations[i] == 0 and restarts[i] == 0
-        method = starts[i][1] if exact else "descent"
-        out.append((residual, iterations[i], restarts[i], seed, method))
+        method = start if iterations[i] == 0 and restarts[i] == 0 else "descent"
+        out.append((residual, iterations[i] + nested[i][0], restarts[i] + nested[i][1], seed,
+                    method))
     return amps, out
 
 

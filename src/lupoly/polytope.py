@@ -11,9 +11,11 @@ Sudbery & Szulc (PRL 90, 107902, 2003):
 One function, ``slacks``, evaluates all of them.  It returns the 3L
 slacks in row order: the lower, then the upper, then the wall rows, each
 for qubits 1..L, so row i is inequality ``KINDS[i // L]`` of qubit
-``i % L + 1``.  Membership, strata, facets, the vertex oracle's rows, the
-wall checks of ``wall.wall_state`` and the region check of each fiber sample
-stack (on float arrays, one per coordinate) are all read off these slacks.
+``i % L + 1``.  Membership, strata, facets, the vertex oracle's rows and
+the region check of each fiber sample stack (on float arrays, one per
+coordinate) are all read off these slacks.  ``classify`` is the one decision
+of a point's stratum: ``wall.wall_state`` and the fiber sampler's starts read
+its ``StratumClass``.
 
 All constraint arithmetic on exact or mixed points goes through
 Fraction constants; float coordinates take the float 1/2, which rounds
@@ -33,7 +35,7 @@ result into its JSON document) and the package's two argument checks:
 slack tolerance, the float coordinates and ``stable_state``'s weight.  The
 slack tolerance (below 1/4 in ``classify``) is the one tolerance a caller
 sets; ``slack_tol`` gives its default, 0 for exact points and MEMBER_TOL
-for floats, to ``membership``, ``classify`` and ``wall.wall_state``.  So
+for floats, to ``membership`` and ``classify``.  So
 ``dimension``, ``wall`` and the exact CLI subcommands run without
 importing numpy; ``qstate`` re-exports the point type and the qubit checks.
 """

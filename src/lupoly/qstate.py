@@ -180,8 +180,7 @@ def _marginals(amps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def reduce_one_qubit(state: PureState, l: int) -> np.ndarray:
     """Read-only (2, 2) partial trace onto qubit l (1-based), discarding all other qubits."""
     check_qubit_index(l, state.num_qubits, "qubit index")
-    x = state.amplitudes[_slot_rows(state.num_qubits)[l - 1]]
-    rho = x @ x.conj().T
+    rho = _marginals(state.amplitudes)[0][l - 1]
     rho.flags.writeable = False
     return rho
 

@@ -19,8 +19,7 @@ from typing import NamedTuple
 
 from ._exact import exact_rank
 from .errors import ValidationError
-from .polytope import (SpectraPoint, _point_slacks, check_int, check_qubit_count,
-                       check_qubit_index, membership, slack_tol)
+from .polytope import SpectraPoint, check_int, check_qubit_count, check_qubit_index, classify
 
 
 class WallOperator(NamedTuple):
@@ -106,12 +105,12 @@ def wall_state(alpha: SpectraPoint, phases) -> "PureState":
     ----------
     alpha:
         Member spectra point satisfying the wall equality of some qubit
-        d: -lambda_d + sum_{j != d} lambda_j = L/2 - 1.  All coordinates
-        must be strictly below 1/2 (strip 1/2 coordinates first).
-        Membership and the wall equality hold within ``slack_tol``: exactly
-        for exact points, within MEMBER_TOL for floats.  d is the first
-        qubit whose wall holds.  Below 1/2 two walls can hold together
-        only at L = 2, where the choice just swaps the two phases.
+        d: -lambda_d + sum_{j != d} lambda_j = L/2 - 1.  ``classify`` decides
+        the stratum at its default slack tolerance: it refuses a non-member,
+        no coordinate may be stripped at 1/2 (strip those first), and d is
+        its first tight wall.  At L = 2 every member lies on both walls and
+        ``classify`` reports none for the degenerate residual, so d = 1;
+        the other choice just swaps the two phases.
     phases:
         Real vector of L phases; entry l-1 multiplies the amplitude
         attached to qubit l.
@@ -123,18 +122,17 @@ def wall_state(alpha: SpectraPoint, phases) -> "PureState":
     L = alpha.num_qubits
     if L < 2:
         raise ValidationError("wall states need at least two qubits")
-    tol = slack_tol(alpha)
-    if not membership(alpha, tol).member:
-        raise ValidationError("alpha is not an admissible spectra point")
-    lams = alpha.lambdas
-    if any(float(x) >= 0.5 for x in lams):
+    stratum = classify(alpha)
+    if stratum.k_half:
         raise ValidationError(
             "wall_state requires all coordinates strictly below 1/2; "
             "strip 1/2 coordinates (product factors) first"
         )
-    # membership has just computed the slacks and kept them on the point
-    d = next((l for l, s in enumerate(_point_slacks(alpha)[2 * L:], 1) if abs(s) <= tol), None)
-    if d is None:
+    if L == 2:
+        d = 1
+    elif stratum.tight_walls:
+        d = stratum.tight_walls[0]
+    else:
         raise ValidationError("alpha does not satisfy any wall equality")
 
     import numpy as np
@@ -147,22 +145,16 @@ def wall_state(alpha: SpectraPoint, phases) -> "PureState":
     if not np.all(np.isfinite(theta)):
         raise ValidationError("phases must be finite")
 
-    moduli_sq = {}
-    moduli_sq[d] = 0.5 + float(lams[d - 1])
-    for j in range(1, L + 1):
-        if j != d:
-            moduli_sq[j] = 0.5 - float(lams[j - 1])
-    if any(m < 0.0 or m > 1.0 for m in moduli_sq.values()):
-        raise ValidationError("a squared modulus fell outside [0, 1]")
-
+    # every coordinate lies within the slack tolerance of [0, 1/2), so each modulus is in (0, 1]
+    lams = alpha.lambdas
     full = 2**L - 1
     amps = np.zeros(2**L, dtype=np.complex128)
-    amps[full] = math.sqrt(moduli_sq[d]) * np.exp(1j * theta[d - 1])
+    amps[full] = math.sqrt(0.5 + float(lams[d - 1])) * np.exp(1j * theta[d - 1])
     for j in range(1, L + 1):
         if j == d:
             continue
         ket = full - (1 << (L - d)) - (1 << (L - j))
-        amps[ket] = math.sqrt(moduli_sq[j]) * np.exp(1j * theta[j - 1])
+        amps[ket] = math.sqrt(0.5 - float(lams[j - 1])) * np.exp(1j * theta[j - 1])
     return PureState.from_amplitudes(amps, renormalize=True)
 
 

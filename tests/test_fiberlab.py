@@ -124,7 +124,7 @@ def refuse_sampling(monkeypatch):
     def no_sampling(*args, **kwargs):
         raise AssertionError("sampling started")
 
-    for name in ("_exact_start", "_haar_row", "_descend"):
+    for name in ("_haar_row", "_descend", "wall_state"):
         monkeypatch.setattr(fiberlab, name, no_sampling)
 
 
@@ -235,16 +235,17 @@ class TestStackedKernel:
         self.assert_rows_match_one_row_runs(starts, L, target, zero_mask)
 
     def test_one_row_restarts_while_the_others_converge(self, monkeypatch):
-        # a product state is a critical point, so row 0 restarts from its own generator
-        exact_start = fiberlab._exact_start
+        # a product state is a critical point, so row 0 restarts from its own generator;
+        # the first draw of a seed-0 generator still advances it, so its restart is a Haar start
+        haar_row = fiberlab._haar_row
         fresh_seed_0 = np.random.default_rng(0).bit_generator.state
 
-        def product_start_for_seed_0(stratum, target, rng):
-            if rng.bit_generator.state == fresh_seed_0:
-                return PureState.basis(3, 0).amplitudes, "product"
-            return exact_start(stratum, target, rng)
+        def product_start_for_seed_0(L, rng):
+            fresh = rng.bit_generator.state == fresh_seed_0
+            row = haar_row(L, rng)
+            return PureState.basis(L, 0).amplitudes if fresh else row
 
-        monkeypatch.setattr(fiberlab, "_exact_start", product_start_for_seed_0)
+        monkeypatch.setattr(fiberlab, "_haar_row", product_start_for_seed_0)
         stratum = classify(INTERIOR3)
         amps, rows = fiberlab._fiber_samples(INTERIOR3, stratum, [0, 1, 2])
         assert amps.shape == (3, 8)
@@ -336,10 +337,28 @@ class TestSampleFiber:
         assert np.abs(sample.state.amplitudes[8:]).max() == 0.0
         assert sample.residual <= 1e-10
 
+    @pytest.mark.parametrize("seed", (0, 3))
+    @pytest.mark.parametrize("lams", ((0.5, 0.1, 0.2, 0.15), (0.5, 0.0, 0.2, 0.15)))
+    def test_half_face_reports_the_residual_sample(self, lams, seed):
+        # the row's generator draws the residual sample's seed; its counters are the row's,
+        # and its amplitudes fill the |0> half of the register
+        sample = sample_fiber(SpectraPoint(lams), seed=seed)
+        residual = SpectraPoint(lams[1:])
+        sub_seed = int(np.random.default_rng(seed).integers(2**32))
+        _, ((_, iterations, restarts, _, _),) = fiberlab._fiber_samples(
+            residual, classify(residual), [sub_seed])
+        assert iterations > 0
+        assert (sample.method, sample.iterations, sample.restarts) == (
+            "product", iterations, restarts)
+        sub = sample_fiber(residual, seed=sub_seed).state.amplitudes
+        want = PureState(4, np.concatenate([sub, np.zeros(8)])).amplitudes
+        assert np.array_equal(sample.state.amplitudes, want)
+
     def test_fully_separable_target(self):
-        sample = sample_fiber(SpectraPoint.exact(["1/2"] * 3), seed=0)
-        assert sample.method == "product"
-        assert np.abs(sample.state.amplitudes[0]) == pytest.approx(1.0)
+        for target in (SpectraPoint.exact(["1/2"] * 3), SpectraPoint((0.5, 0.5))):
+            sample = sample_fiber(target, seed=0)
+            assert (sample.method, sample.iterations, sample.restarts) == ("product", 0, 0)
+            assert np.abs(sample.state.amplitudes[0]) == pytest.approx(1.0)
 
     def test_outside_target_rejected(self):
         with pytest.raises(ValidationError, match="outside"):

@@ -183,8 +183,17 @@ class TestWallState:
         state = wall_state(near, np.zeros(3))
         assert np.allclose(psi_map(state).as_array(), near.as_array(), atol=1e-10)
 
+    def test_half_band_follows_classify(self):
+        # classify strips a coordinate within MEMBER_TOL of 1/2 and finds no wall in the rest
+        alpha = SpectraPoint((0.2, 0.5 - 1e-10, 0.2 + 1e-10))
+        stratum = classify(alpha)
+        assert (stratum.half_qubits, stratum.tight_walls) == ((2,), ())
+        with pytest.raises(ValidationError, match="strictly below 1/2"):
+            wall_state(alpha, np.zeros(3))
+
     def test_one_slack_pass_per_call(self, monkeypatch):
-        # membership keeps the slacks on the point and the wall rows are read off them
+        # classify's membership keeps the slacks on the point and classify reads the wall rows
+        # off them
         calls = []
 
         def counted(lams):
@@ -205,7 +214,7 @@ class TestWallState:
             wall_state(SpectraPoint((0.1, 0.1, 0.1)), np.zeros(3))
         with pytest.raises(ValidationError, match="strictly below"):
             wall_state(SpectraPoint.exact(["1/2", "1/6", "1/3", "1/3"]), np.zeros(4))
-        with pytest.raises(ValidationError, match="admissible"):
+        with pytest.raises(ValidationError, match="^point is outside the admissible region"):
             wall_state(SpectraPoint((0.4, 0.0, 0.3)), np.zeros(3))
         alpha = random_wall_point(3, rng)
         with pytest.raises(ValidationError, match="expected 3 phases"):
