@@ -340,8 +340,8 @@ class TestSampleFiber:
     @pytest.mark.parametrize("seed", (0, 3))
     @pytest.mark.parametrize("lams", ((0.5, 0.1, 0.2, 0.15), (0.5, 0.0, 0.2, 0.15)))
     def test_half_face_reports_the_residual_sample(self, lams, seed):
-        # the row's generator draws the residual sample's seed; its counters are the row's,
-        # and its amplitudes fill the |0> half of the register
+        # the row's generator draws the residual sample's seed; the row reports that sample's
+        # counters, and its amplitudes fill the |0> half of the register
         sample = sample_fiber(SpectraPoint(lams), seed=seed)
         residual = SpectraPoint(lams[1:])
         sub_seed = int(np.random.default_rng(seed).integers(2**32))
