@@ -93,10 +93,6 @@ def dim_reduced_space(stratum: StratumClass) -> DimReport:
         return _report(0, L, "three-qubit-boundary", status, notes)
 
     dim = _generic_dim(res_L) - 2 * k_zero
-    if dim < 0:
-        raise InternalInvariantError(
-            f"boundary deduction produced negative dimension {dim} at residual L={res_L}"
-        )
     notes.append(f"{k_zero} maximally mixed reduction(s): deduction of {2 * k_zero}")
     if k_half == 0:
         return _report(dim, L, "case3", "paper-exact", notes)

@@ -23,10 +23,10 @@ the same.  For an exact point ``membership`` and ``classify`` turn the
 slack tolerance into one exact cut, Fraction(tol), and every slack, zero
 and 1/2 test compares against it, so exact points are classified exactly
 at any tolerance; float and mixed points compare against the float.
-A point keeps its slacks once ``membership`` has computed them, so
-``classify`` reads membership and, when no coordinate is stripped at 1/2,
-the tight walls off one ``slacks`` pass; only a stripped residual system
-gets a pass of its own.
+A point keeps its slacks once ``membership`` has computed them, and
+``classify`` reads every decision off that one row: a coordinate's upper
+slack puts it at 1/2, its lower slack at 0, and a wall slack less the
+stripped coordinates' upper slacks is the residual system's wall slack.
 
 This module is the numpy-free base layer.  It also holds the point type
 ``SpectraPoint``, ``read_json``, ``document`` (the one rule that turns a
@@ -316,6 +316,8 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
     Order of detection: coordinates at 1/2 are stripped, a residual
     system with fewer than three qubits is marked degenerate, then
     tight walls and zero coordinates are read off the residual system.
+    Every test compares one slack of the point's row against the cut; a
+    residual wall slack is the full one less the stripped upper slacks.
     """
     checked = slack_tol(point, tol)
     if checked >= 0.25:
@@ -329,11 +331,11 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
             + "; ".join(f"violated: {q.equality.replace(' = ', ' vs ')}" for q, _ in res.violations)
         )
     cut = _cut(point, tol)
-    lams = point.lambdas
+    row = _point_slacks(point)  # membership has just computed it
     L = point.num_qubits
     trail = [f"membership verified (tol={tol:g})"]
 
-    half = tuple(l for l in range(1, L + 1) if lams[l - 1] >= HALF - cut)
+    half = tuple(l for l in range(1, L + 1) if row[L + l - 1] <= cut)
     residual = tuple(l for l in range(1, L + 1) if l not in half)
     res_L = len(residual)
     if half:
@@ -345,13 +347,11 @@ def classify(point: SpectraPoint, tol: float | None = None) -> StratumClass:
     if degenerate:
         trail.append("residual system is degenerate (fewer than 3 qubits); wall detection skipped")
     else:
-        # with nothing stripped the residual system is the whole one, whose slacks
-        # membership has just computed
-        walls = slacks(tuple(lams[l - 1] for l in residual)) if half else _point_slacks(point)
-        tight = tuple(q for q, s in zip(residual, walls[2 * res_L:]) if abs(s) <= cut)
+        shift = sum(row[L + h - 1] for h in half)
+        tight = tuple(q for q in residual if abs(row[2 * L + q - 1] - shift) <= cut)
         trail.append(f"tight walls at qubits {tight}" if tight else "no tight walls")
 
-    zeros = tuple(l for l in residual if lams[l - 1] <= cut)
+    zeros = tuple(l for l in residual if row[l - 1] <= cut)
     trail.append(f"zero coordinates at qubits {zeros}" if zeros else "no zero coordinates")
 
     return StratumClass(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from itertools import combinations
 from typing import NamedTuple
 
 from ._exact import exact_rank
@@ -70,31 +69,19 @@ class WeightSubspaceBasis(NamedTuple):
 def eigenspace_basis(num_qubits: int, k: int, distinguished: int = 1) -> WeightSubspaceBasis:
     """Kets spanning the eigenspace with eigenvalue -L+2k of the wall operator.
 
-    The distinguished qubit in |1> combines with k-1 zeros elsewhere,
-    the distinguished qubit in |0> with k zeros elsewhere; together
-    these give C(L,k) kets.  For k = 1 the first ket is the all-ones
-    ket and the rest carry zeros exactly at the distinguished qubit
-    and one further position, in ascending order.
+    The kets are the indices whose entry of ``build_wall_operator``'s
+    diagonal is -L+2k: the distinguished qubit in |1> with k-1 zeros
+    elsewhere, then the distinguished qubit in |0> with k zeros elsewhere,
+    C(L,k) kets in all, each group in ascending order.  For k = 1 the first
+    ket is the all-ones ket and the rest carry zeros exactly at the
+    distinguished qubit and one further position.
     """
     L = check_qubit_count(num_qubits, 1, "eigenspace_basis")
     k = check_int(k, "k", 0, L)
     d = check_qubit_index(distinguished, L, "distinguished index")
-    others = [l for l in range(1, L + 1) if l != d]
-    full = 2**L - 1
-
-    def kets_with_zeros(extra_zero_count: int, d_bit: int) -> list:
-        out = []
-        for zeros in combinations(others, extra_zero_count):
-            ket = full - sum(1 << (L - l) for l in zeros)
-            if d_bit == 0:
-                ket -= 1 << (L - d)
-            out.append(ket)
-        return sorted(out)
-
-    kets = []
-    if k >= 1:
-        kets.extend(kets_with_zeros(k - 1, d_bit=1))
-    kets.extend(kets_with_zeros(k, d_bit=0))
+    d_bit = 1 << (L - d)  # qubit 1 is the top bit
+    kets = [i for i, v in enumerate(build_wall_operator(L, d).diagonal) if v == -L + 2 * k]
+    kets.sort(key=lambda i: not i & d_bit)  # stable: each group stays ascending
     return WeightSubspaceBasis(L, k, tuple(kets), distinguished=d, eigenvalue=-L + 2 * k)
 
 
@@ -171,20 +158,17 @@ class TorusCertificate(NamedTuple):
 def torus_transitivity_check(num_qubits: int) -> TorusCertificate:
     """Certify that the stabilizer torus sweeps the wall-fiber phases.
 
-    Row l of the matrix lists the phase shift of amplitude c_l per unit
-    angle on each qubit (convention diag(e^{i theta}, e^{-i theta})):
-    the all-ones ket picks up (-1, ..., -1), the ket with zeros at
-    qubits {1, l} picks up +1 there and -1 elsewhere.  Transitivity on
-    the fiber modulo global phase needs rank >= L-1 on the quotient by
-    the global-phase direction (1, ..., 1).
+    Row l of the matrix lists the phase shift of amplitude c_l, the l-th
+    ket of ``eigenspace_basis(L, 1)``, per unit angle on each qubit
+    (convention diag(e^{i theta}, e^{-i theta})): +1 where the ket's bit
+    is 0 and -1 where it is 1.  So the all-ones ket picks up (-1, ..., -1),
+    the ket with zeros at qubits {1, l} +1 there and -1 elsewhere.
+    Transitivity on the fiber modulo global phase needs rank >= L-1 on the
+    quotient by the global-phase direction (1, ..., 1).
     """
     L = check_qubit_count(num_qubits, 3, "the torus certificate")
-    rows = [[-1] * L]
-    for l in range(2, L + 1):
-        row = [-1] * L
-        row[0] = 1
-        row[l - 1] = 1
-        rows.append(row)
+    kets = eigenspace_basis(L, 1).bitstrings()
+    rows = [[1 if bit == "0" else -1 for bit in ket] for ket in kets]
     rank = exact_rank(rows)
     augmented = [row + [1] for row in rows]
     quotient_rank = exact_rank(augmented) - 1

@@ -322,7 +322,7 @@ class TestClassify:
             assert (stratum.half_qubits, stratum.zero_qubits, stratum.tight_walls) == (
                 half, zeros, tight), lams
 
-    def test_one_slack_pass_unless_a_coordinate_is_stripped(self, monkeypatch):
+    def test_one_slack_pass_per_point(self, monkeypatch):
         calls = []
         counted = polytope.slacks
 
@@ -331,15 +331,29 @@ class TestClassify:
             return counted(lams)
 
         monkeypatch.setattr(polytope, "slacks", counting)
-        for lams, n_calls in (
-            (("1/6", "1/3", "1/3"), 1),
-            (("0", "1/10", "1/5", "3/20"), 1),
-            (("1/2", "1/6", "1/3", "1/3"), 2),
-            (("1/2", "1/2", "1/10", "1/5", "3/20"), 2),
+        for lams in (
+            ("1/6", "1/3", "1/3"),
+            ("0", "1/10", "1/5", "3/20"),
+            ("1/2", "1/6", "1/3", "1/3"),
+            ("1/2", "1/2", "1/10", "1/5", "3/20"),
         ):
             calls.clear()
             classify(SpectraPoint.exact(lams))
-            assert len(calls) == n_calls, lams
+            assert len(calls) == 1, lams
+
+    @pytest.mark.parametrize("tol, lams, want", [
+        (1e-9, (0.5, 1 / 6, 1 / 3, 1 / 3), ((1,), (), (2,))),
+        (1e-9, (0.5, 0.0, 0.2, 0.15), ((1,), (2,), ())),
+        (1e-9, (0.5, 0.5 - 1e-10, 0.0, 1e-10, 0.3), ((1, 2), (3, 4), ())),
+        (0.05, (0.46, 0.03, 0.2, 0.15), ((1,), (2,), ())),
+        (0.05, (0.48, 1 / 6 + 0.02, 1 / 3, 1 / 3), ((1,), (), (2,))),
+        (0.05, (1 / 6, 1 / 3, 1 / 3 - 0.04), ((), (), (1,))),
+    ])
+    def test_float_points_classify_without_the_fraction_constant(self, monkeypatch, tol, lams, want):
+        # a float point's decisions read its float slacks alone, never the exact 1/2
+        monkeypatch.setattr(polytope, "HALF", None)
+        stratum = classify(SpectraPoint(lams), tol=tol)
+        assert (stratum.half_qubits, stratum.zero_qubits, stratum.tight_walls) == want
 
     def test_trail_is_readable(self):
         stratum = classify(SpectraPoint((0.1, 0.2, 0.15)))

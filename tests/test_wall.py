@@ -92,6 +92,14 @@ class TestEigenspaces:
     def test_four_qubit_ordering(self):
         assert eigenspace_basis(4, 1).bitstrings() == ("1111", "0011", "0101", "0110")
 
+    def test_ordering_beyond_the_low_eigenspace(self):
+        # the kets with the distinguished qubit in |1> first, each group ascending
+        assert eigenspace_basis(4, 2, 3).bitstrings() == (
+            "0111", "1011", "1110", "0001", "0100", "1000")
+        assert eigenspace_basis(5, 3, 5).bitstrings() == (
+            "00111", "01011", "01101", "10011", "10101", "11001",
+            "00010", "00100", "01000", "10000")
+
     def test_lowest_level_is_single_complement_ket(self):
         basis = eigenspace_basis(2, 0)
         assert basis.bitstrings() == ("01",)
