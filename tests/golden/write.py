@@ -115,7 +115,7 @@ def _wall_slack(lams: list, l: int) -> Fraction:
     return HALF * (len(lams) - 2) - sum(lams) + 2 * lams[l]
 
 
-def dim_points(kind: str, tol: str, count: int = DIM_COUNT) -> list[tuple]:
+def dim_points(kind: str, tol: str) -> list[tuple]:
     """The seeded coordinate tuples of one ``dim.json`` bucket.
 
     Coordinates are drawn exactly on a grid of 1/120 in [0, 1/2]; then up
@@ -123,13 +123,13 @@ def dim_points(kind: str, tol: str, count: int = DIM_COUNT) -> list[tuple]:
     or a wall slack at 0 or +-tol, with the exact cut Fraction(tol).  About
     one point in six is then pushed just outside the region, and one in 50
     has 13 qubits; any other draw outside the region is drawn again, so
-    most points are members.  Float points round every
-    coordinate; mixed points round a random non-empty proper subset.
+    most points are members.  Float points round every coordinate; mixed
+    points round a random non-empty proper subset.
     """
     rng = random.Random(f"{kind} {tol}")
     cut, step = Fraction(float(tol)), Fraction(1, 120)
     out = []
-    while len(out) < count:
+    while len(out) < DIM_COUNT:
         L = 13 if rng.random() < 0.02 else rng.choice(DIM_QUBITS)
         lams = [step * rng.randrange(61) for _ in range(L)]
         for _ in range(rng.randrange(4)):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from golden.write import (
-    CORPUS, DIM_CORPUS, commands, digest, dim_bucket, dim_buckets, dim_document,
+    CORPUS, DIM_CORPUS, commands, dim_bucket, dim_buckets, dim_document,
     dim_points, run,
 )
 from lupoly.dimension import FORMULAS
@@ -41,10 +41,10 @@ def test_replays_the_golden_dim_documents(name):
     kind, tol = dim_buckets()[name]
     points = dim_points(kind, tol)
     docs = [dim_document(lams, tol) for lams in points]
-    want = DIM_ENTRIES[name]
-    moved = [(i, points[i]) for i, doc in enumerate(docs) if digest(doc) != want["digests"][i]]
+    got, want = dim_bucket(points, docs), DIM_ENTRIES[name]
+    moved = [(i, lams) for i, lams in enumerate(points) if got["digests"][i] != want["digests"][i]]
     assert not moved, f"{len(moved)} moved documents, the first ones: {moved[:5]}"
-    assert dim_bucket(points, docs) == want
+    assert got == want
     # the bucket's coverage: mostly members, every formula and some refusals
     refused = sum("refused" in doc for doc in docs)
     assert len(docs) >= 2 * refused > 0
